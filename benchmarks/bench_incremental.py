@@ -1,9 +1,9 @@
 """Rebuild-vs-incremental engine maintenance benchmark.
 
 Compares the historical from-scratch elimination loop (a fresh
-:class:`~repro.core.images.ImagesEngine` per deletion,
+:class:`~repro.core.engine_v2.FlatImagesEngine` per deletion,
 ``incremental=False``) against the maintained-engine loop
-(:meth:`~repro.core.images.ImagesEngine.delete_leaf`) on the Figure 7 and
+(:meth:`~repro.core.engine_v2.FlatImagesEngine.delete_leaf`) on the Figure 7 and
 Figure 8 workload generators, and records the containment-oracle cache
 rates on a duplicated-branch oracle workload.
 

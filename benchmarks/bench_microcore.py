@@ -13,7 +13,7 @@ import pytest
 from repro.constraints.closure import closure
 from repro.constraints.model import required_child
 from repro.core.containment import has_containment_mapping
-from repro.core.images import ImagesEngine
+from repro.core.engine_v2 import FlatImagesEngine
 from repro.workloads.querygen import chain_query, duplicate_random_branch, random_query
 
 
@@ -55,6 +55,6 @@ def test_images_check(benchmark, size):
     leaf = next(iter(query.leaves()))
 
     def check():
-        return ImagesEngine(query).is_redundant_leaf(leaf)
+        return FlatImagesEngine(query).is_redundant_leaf(leaf)
 
     assert benchmark(check) is False  # distinct types: never redundant

@@ -8,8 +8,6 @@ but the timings is deterministic):
   (:mod:`benchmarks.bench_incremental`);
 - ``BENCH_batch.json`` — batch backend vs serial loop + worker scaling
   (:mod:`benchmarks.bench_batch`);
-- ``BENCH_core_v2.json`` — flat bitset core (engine v2) vs the object
-  core (:mod:`benchmarks.bench_core_v2`);
 - ``BENCH_oracle_cache.json`` — containment-oracle cache layers vs their
   memo-free baselines (:mod:`benchmarks.bench_oracle_cache`);
 - ``BENCH_service.json`` — micro-batched serving vs one-at-a-time
@@ -49,7 +47,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # script mode without install
 
 import bench_batch  # noqa: E402  (sibling module, script mode)
 import bench_certify  # noqa: E402  (sibling module, script mode)
-import bench_core_v2  # noqa: E402  (sibling module, script mode)
 import bench_incremental  # noqa: E402  (sibling module, script mode)
 import bench_oracle_cache  # noqa: E402  (sibling module, script mode)
 import bench_persist  # noqa: E402  (sibling module, script mode)
@@ -100,15 +97,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             str(repeat),
             "--out",
             str(args.out_dir / "BENCH_batch.json"),
-        ]
-        + (["--fast"] if args.fast else [])
-    ) or status
-    status = bench_core_v2.main(
-        [
-            "--repeat",
-            str(repeat),
-            "--out",
-            str(args.out_dir / "BENCH_core_v2.json"),
         ]
         + (["--fast"] if args.fast else [])
     ) or status

@@ -8,8 +8,8 @@ serving layer each re-invented the plumbing. :class:`Session` collapses
 that into a single configuration path:
 
 * :class:`MinimizeOptions` — one frozen dataclass capturing *all* the
-  knobs (``engine``, ``incremental``, ``oracle_cache``, ``jobs``,
-  ``strategy``, plus the batch-backend tuning fields);
+  knobs (``engine``, ``oracle_cache``, ``jobs``, ``strategy``, plus the
+  batch-backend tuning fields);
 * :class:`Session` — a facade owning the engine/cache/jobs wiring:
   ``session.minimize(...)``, ``session.minimize_many(...)``,
   ``session.evaluate(...)``, ``session.equivalent(...)``. A session
@@ -38,7 +38,7 @@ settings compose.
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence, Union
 
@@ -49,7 +49,6 @@ from .core.containment import (
     equivalent as _equivalent,
     is_contained_in as _is_contained_in,
 )
-from .core.engine_config import CORE_ENGINES, core_engine_scope
 from .core.ic_containment import equivalent_under as _equivalent_under
 from .core.oracle_cache import oracle_cache_disabled
 from .core.pattern import TreePattern
@@ -86,9 +85,6 @@ class MinimizeOptions:
     engine:
         Matching engine used by :meth:`Session.evaluate`
         (``dp``/``twig``/``pathstack``/``twigmerge``).
-    incremental:
-        Maintain one images engine across the ACIM elimination loop
-        (default) instead of rebuilding per deletion.
     oracle_cache:
         ``None`` follows the process-wide containment-oracle-cache
         switch; ``False`` disables every cache layer for work done
@@ -122,12 +118,6 @@ class MinimizeOptions:
         A :class:`~repro.resilience.faults.FaultPlan` arming
         deterministic fault injection throughout the stack (chaos
         testing / failure replay). ``None`` disables injection.
-    core_engine:
-        Which images/containment core implementation runs the
-        minimization work — ``"v1"`` (object/set) or ``"v2"`` (flat
-        bitset). ``None`` follows the process-wide resolution of
-        :func:`repro.core.engine_config.resolve_core_engine`. Results
-        are byte-identical either way.
     store_path:
         Path of a persistent content-addressed cache
         (:class:`repro.store.PersistentStore`, created on first use).
@@ -159,7 +149,6 @@ class MinimizeOptions:
     """
 
     engine: str = "dp"
-    incremental: bool = True
     oracle_cache: Optional[bool] = None
     jobs: Union[int, str] = 1
     strategy: str = "pipeline"
@@ -169,7 +158,6 @@ class MinimizeOptions:
     verify: bool = False
     watchdog: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
-    core_engine: Optional[str] = None
     store_path: Optional[str] = None
     certify: bool = False
     audit_rate: int = 64
@@ -188,11 +176,6 @@ class MinimizeOptions:
                 raise ValueError(f'jobs must be an int or "auto", got {self.jobs!r}')
         elif self.jobs is not None and self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
-        if self.core_engine is not None and self.core_engine not in CORE_ENGINES:
-            raise ValueError(
-                f"unknown core_engine {self.core_engine!r} "
-                f"(expected one of {CORE_ENGINES})"
-            )
         if self.watchdog is not None and self.watchdog <= 0:
             raise ValueError(f"watchdog must be > 0 seconds, got {self.watchdog}")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
@@ -753,9 +736,7 @@ class Session:
                     result.input_pattern,
                     minimizer.repository,
                     use_cdm_prefilter=self.options.use_cdm_prefilter,
-                    incremental=self.options.incremental,
                     oracle_cache=self.options.oracle_cache,
-                    core_engine=self.options.core_engine,
                 )
                 ok = (
                     fresh.pattern.canonical_key() == result.pattern.canonical_key()
@@ -926,16 +907,12 @@ class Session:
     # ------------------------------------------------------------------
 
     def _cache_scope(self):
-        """The cache/engine scope implied by the options: a re-entrant
-        oracle-cache-disabled scope for ``oracle_cache=False``, plus the
-        core-engine scope when ``core_engine`` is set (both no-ops
-        otherwise)."""
-        stack = ExitStack()
+        """The cache scope implied by the options: a re-entrant
+        oracle-cache-disabled scope for ``oracle_cache=False``, a no-op
+        otherwise."""
         if self.options.oracle_cache is False:
-            stack.enter_context(oracle_cache_disabled())
-        if self.options.core_engine is not None:
-            stack.enter_context(core_engine_scope(self.options.core_engine))
-        return stack
+            return oracle_cache_disabled()
+        return nullcontext()
 
     def _minimizer_for(self, repo: Constraints) -> "BatchMinimizer":
         """The per-repository batch backend (created on first use; the

@@ -217,8 +217,6 @@ class _MemoEntry:
 _WORKER_REPO: Optional[ConstraintRepository] = None
 _WORKER_USE_CDM: bool = True
 _WORKER_ORACLE: Optional[bool] = None
-_WORKER_INCREMENTAL: bool = True
-_WORKER_CORE_ENGINE: Optional[str] = None
 _WORKER_CERTIFY: bool = False
 
 
@@ -226,21 +224,12 @@ def _init_worker(
     repo_bytes: bytes,
     use_cdm_prefilter: bool,
     oracle_cache: Optional[bool] = None,
-    incremental: bool = True,
-    core_engine: Optional[str] = None,
     certify: bool = False,
 ) -> None:
-    global _WORKER_REPO, _WORKER_USE_CDM, _WORKER_ORACLE
-    global _WORKER_INCREMENTAL, _WORKER_CORE_ENGINE, _WORKER_CERTIFY
+    global _WORKER_REPO, _WORKER_USE_CDM, _WORKER_ORACLE, _WORKER_CERTIFY
     _WORKER_REPO = pickle.loads(repo_bytes)
     _WORKER_USE_CDM = use_cdm_prefilter
     _WORKER_ORACLE = oracle_cache
-    _WORKER_INCREMENTAL = incremental
-    # Threaded explicitly into every minimize() call rather than set as
-    # the process default: the initializer also runs in the *parent*
-    # process (for the serial path), which must not have its process-wide
-    # engine default mutated as a side effect.
-    _WORKER_CORE_ENGINE = core_engine
     _WORKER_CERTIFY = certify
 
 
@@ -250,8 +239,6 @@ def _minimize_one(pattern: TreePattern) -> MinimizeResult:
         _WORKER_REPO,
         use_cdm_prefilter=_WORKER_USE_CDM,
         oracle_cache=_WORKER_ORACLE,
-        incremental=_WORKER_INCREMENTAL,
-        core_engine=_WORKER_CORE_ENGINE,
         certify=_WORKER_CERTIFY,
     )
 
@@ -307,7 +294,7 @@ class BatchMinimizer:
     options:
         A :class:`repro.api.MinimizeOptions` carrying the whole
         configuration (jobs, memoize, strategy, oracle_cache, chunksize,
-        incremental, persistent_pool); ``None`` means all defaults. This
+        persistent_pool); ``None`` means all defaults. This
         is the **only** configuration path — the scattered per-knob
         kwargs of earlier releases (``jobs=``, ``memoize=``,
         ``use_cdm_prefilter=``, ``oracle_cache=``, ``chunksize=``) were
@@ -336,9 +323,7 @@ class BatchMinimizer:
         self.use_cdm_prefilter = options.use_cdm_prefilter
         self.oracle_cache = options.oracle_cache
         self.chunksize = options.chunksize
-        self.incremental = options.incremental
         self.watchdog = options.watchdog
-        self.core_engine = options.core_engine
         self.certify = getattr(options, "certify", False)
         fault_plan = options.fault_plan
         persistent_pool = options.persistent_pool
@@ -377,8 +362,6 @@ class BatchMinimizer:
             pickle.dumps(self.repository),
             self.use_cdm_prefilter,
             self.oracle_cache,
-            self.incremental,
-            self.core_engine,
             self.certify,
         )
         self._pool: Optional[WorkerPool] = (
@@ -655,8 +638,6 @@ class BatchMinimizer:
             self.repository,
             self.use_cdm_prefilter,
             self.oracle_cache,
-            self.incremental,
-            self.core_engine,
             self.certify,
         )
         if self.certify:
@@ -717,8 +698,6 @@ class BatchMinimizer:
                 self.repository,
                 self.use_cdm_prefilter,
                 self.oracle_cache,
-                self.incremental,
-                self.core_engine,
                 self.certify,
             )
             return BatchItemResult(
@@ -760,8 +739,6 @@ def _fresh_minimize(
     repo: ConstraintRepository,
     use_cdm_prefilter: bool,
     oracle_cache: Optional[bool] = None,
-    incremental: bool = True,
-    core_engine: Optional[str] = None,
     certify: bool = False,
 ) -> MinimizeResult:
     return minimize(
@@ -769,8 +746,6 @@ def _fresh_minimize(
         repo,
         use_cdm_prefilter=use_cdm_prefilter,
         oracle_cache=oracle_cache,
-        incremental=incremental,
-        core_engine=core_engine,
         certify=certify,
     )
 

@@ -10,8 +10,8 @@ chase provenance of every virtual row against O(1) probes into the named
 constraint closure (Section 5.2).
 
 **Independence argument.** The checker deliberately shares no code with
-the images engines that *produced* the witnesses
-(:class:`repro.core.images.ImagesEngine` / :mod:`repro.core.engine_v2`):
+the images engine that *produced* the witnesses
+(:class:`repro.core.engine_v2.FlatImagesEngine`):
 it never builds images sets, ancestor/descendant hash tables, or bitset
 tables — each claim is checked by direct recursive walks over the
 pattern data model (:class:`~repro.core.pattern.TreePattern` /

@@ -31,7 +31,8 @@ from .containment import (
     has_containment_mapping,
     is_contained_in,
 )
-from .images import AncestorTable, ImagesEngine, ImagesStats, VirtualTarget
+from .images import ImagesStats, VirtualTarget
+from .engine_v2 import FlatImagesEngine
 from .cim import CimResult, cim_minimize, is_minimal
 from .cim_naive import cim_minimize_naive
 from .normalize import DedupResult, dedup_siblings
@@ -65,8 +66,7 @@ __all__ = [
     "find_containment_mapping",
     "has_containment_mapping",
     "is_contained_in",
-    "AncestorTable",
-    "ImagesEngine",
+    "FlatImagesEngine",
     "ImagesStats",
     "VirtualTarget",
     "CimResult",

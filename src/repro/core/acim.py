@@ -101,7 +101,6 @@ def acim_minimize(
     seed: Optional[int] = None,
     incremental: bool = True,
     oracle_cache: Optional[bool] = None,
-    core_engine: Optional[str] = None,
 ) -> AcimResult:
     """Minimize ``pattern`` under ``constraints`` (Algorithm ACIM).
 
@@ -112,9 +111,8 @@ def acim_minimize(
     Parameters mirror :func:`repro.core.cim.cim_minimize`; see there for
     ``collect_witnesses``, ``seed``, ``incremental`` (one maintained
     images engine for the whole elimination loop vs the from-scratch
-    rebuild-per-deletion baseline), ``oracle_cache`` (the sibling-subtree
-    prune memo), and ``core_engine`` (the v1 object engine vs the v2
-    flat bitset engine — byte-identical results).
+    rebuild-per-deletion baseline), and ``oracle_cache`` (the
+    sibling-subtree prune memo).
     """
     repo = coerce_repository(constraints)
     result = AcimResult(pattern=pattern)  # placeholder, replaced below
@@ -143,7 +141,6 @@ def acim_minimize(
         seed=seed,
         incremental=incremental,
         oracle_cache=oracle_cache,
-        core_engine=core_engine,
     )
     cim.pattern.clear_extra_types()
 

@@ -16,9 +16,9 @@ hands it :class:`~repro.core.images.VirtualTarget` rows (never-materialized
 temporary nodes, per Section 6.1) which act as extra mapping targets and
 are dropped automatically when their anchor node is eliminated.
 
-The driver maintains **one** :class:`~repro.core.images.ImagesEngine` for
-the whole elimination loop, applying
-:meth:`~repro.core.images.ImagesEngine.delete_leaf` after each deletion —
+The driver maintains **one** :class:`~repro.core.engine_v2.FlatImagesEngine`
+for the whole elimination loop, applying
+:meth:`~repro.core.engine_v2.FlatImagesEngine.delete_leaf` after each deletion —
 the O(n⁴) bound of Section 4 assumes exactly this maintenance; rebuilding
 the tables per deletion (the pre-incremental behaviour, kept as
 ``incremental=False`` for differential testing and benchmarking) adds an
@@ -31,7 +31,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .images import ImagesStats, VirtualTarget, create_images_engine
+from .engine_v2 import FlatImagesEngine
+from .images import ImagesStats, VirtualTarget
 from .node import PatternNode
 from .pattern import TreePattern
 
@@ -93,7 +94,6 @@ def cim_minimize(
     pair_filter=None,
     incremental: bool = True,
     oracle_cache: Optional[bool] = None,
-    core_engine: Optional[str] = None,
 ) -> CimResult:
     """Minimize ``pattern`` by maximal elimination of redundant leaves.
 
@@ -137,12 +137,6 @@ def cim_minimize(
         process-wide switch
         (:func:`repro.core.oracle_cache.global_enabled`); ``False`` is
         the memo-free baseline. Results are identical either way.
-    core_engine:
-        Which images-engine implementation runs the redundancy checks —
-        ``"v1"`` (object/set engine) or ``"v2"`` (flat bitset engine).
-        ``None`` resolves through
-        :func:`repro.core.engine_config.resolve_core_engine`. Results
-        are byte-identical either way.
 
     Returns
     -------
@@ -168,13 +162,12 @@ def cim_minimize(
     candidates = [
         n.id for n in query.leaves() if _eligible(n, protect, include_temporaries)
     ]
-    engine = create_images_engine(
+    engine = FlatImagesEngine(
         query,
         live_virtual,
         result.stats,
         pair_filter=pair_filter,
         prune_memo=oracle_cache,
-        engine=core_engine,
     )
 
     while candidates:
@@ -224,13 +217,12 @@ def cim_minimize(
                     else:
                         survivors.append(vt)
                 live_virtual = survivors
-            engine = create_images_engine(
+            engine = FlatImagesEngine(
                 query,
                 live_virtual,
                 result.stats,
                 pair_filter=pair_filter,
                 prune_memo=oracle_cache,
-                engine=core_engine,
             )
         if (
             parent is not None
@@ -242,13 +234,13 @@ def cim_minimize(
     return result
 
 
-def is_minimal(pattern: TreePattern, *, core_engine: Optional[str] = None) -> bool:
+def is_minimal(pattern: TreePattern) -> bool:
     """Whether a pattern is already minimal (no redundant leaf exists).
 
     Equivalent to ``cim_minimize(pattern).removed_count == 0`` but without
     copying or deleting.
     """
-    engine = create_images_engine(pattern, engine=core_engine)
+    engine = FlatImagesEngine(pattern)
     return not any(
         engine.is_redundant_leaf(leaf)
         for leaf in pattern.leaves()

@@ -20,7 +20,8 @@ both implementations must produce isomorphic results on every input.
 from __future__ import annotations
 
 from .cim import CimResult
-from .images import ImagesEngine, ImagesStats
+from .engine_v2 import FlatImagesEngine
+from .images import ImagesStats
 from .node import PatternNode
 from .pattern import TreePattern
 
@@ -49,7 +50,7 @@ def cim_minimize_naive(pattern: TreePattern, *, in_place: bool = False) -> CimRe
     changed = True
     while changed:
         changed = False
-        engine = ImagesEngine(query, stats=result.stats)
+        engine = FlatImagesEngine(query, stats=result.stats)
         for leaf in _candidate_leaves(query):
             if engine.is_redundant_leaf(leaf):
                 result.eliminated.append((leaf.id, leaf.type))

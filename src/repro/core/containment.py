@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import oracle_cache as _oracle_cache
-from .engine_config import resolve_core_engine
 from .engine_v2 import flat_mapping_targets
 from .fingerprint import are_isomorphic
 from .node import PatternNode
@@ -59,9 +58,8 @@ class ContainmentStats:
     * the *base* compatibility set per ``(type, is_output)`` source class
       — every source node of the same class admits the same label-level
       targets (``base_cache_*``);
-    * the reachability pass ``_nodes_with_target_below`` per admissible
-      set — distinct d-children with equal target sets share one pass
-      (``reach_cache_*``).
+    * the reachability pass per admissible set — distinct d-children
+      with equal target sets share one pass (``reach_cache_*``).
 
     Across runs, the process-wide content-keyed cache
     (:mod:`repro.core.oracle_cache`) may serve the whole DP table
@@ -119,7 +117,6 @@ def mapping_targets(
     *,
     stats: Optional[ContainmentStats] = None,
     cache: object = USE_GLOBAL_CACHE,
-    engine: Optional[str] = None,
 ) -> dict[int, set[int]]:
     """For every node ``v`` of ``source``, the ids of ``target`` nodes that
     ``v`` can map to under some containment mapping of ``v``'s subtree.
@@ -139,14 +136,8 @@ def mapping_targets(
     :class:`~repro.core.oracle_cache.ContainmentOracleCache` and remapped
     onto the caller's node ids on a hit — identical output, no DP. Pass
     ``cache=None`` for an uncached run, or an explicit cache instance to
-    use instead of the global one.
-
-    This function is a dispatching facade: ``engine`` selects the v1
-    object-walking DP below or the bitset DP of
-    :func:`repro.core.engine_v2.flat_mapping_targets` (identical results
-    and counters), resolved through
-    :func:`repro.core.engine_config.resolve_core_engine` when ``None``.
-    The oracle-cache layer wraps both.
+    use instead of the global one. The DP itself runs over bitsets in
+    :func:`repro.core.engine_v2.flat_mapping_targets`.
     """
     if stats is None:
         stats = ContainmentStats()
@@ -157,106 +148,10 @@ def mapping_targets(
             stats.oracle_cache_hits += 1
             return remapped
         stats.oracle_cache_misses += 1
-    if resolve_core_engine(engine) == "v2":
-        targets = flat_mapping_targets(source, target, stats)
-    else:
-        targets = _mapping_targets_v1(source, target, stats)
+    targets = flat_mapping_targets(source, target, stats)
     if oc is not None:
         oc.store(source, target, targets)
     return targets
-
-
-def _mapping_targets_v1(
-    source: TreePattern, target: TreePattern, stats: ContainmentStats
-) -> dict[int, set[int]]:
-    """The original object-walking DP (engine v1)."""
-    target_nodes = list(target.nodes())
-    target_postorder = list(target.postorder())
-    targets: dict[int, set[int]] = {}
-    # Base compatibility sets keyed by source class. The cached sets are
-    # shared (leaves of one class alias one set) and treated as read-only
-    # by the DP below.
-    base_cache: dict[tuple[str, bool], set[int]] = {}
-    # Reachability results keyed by the admissible id set they were
-    # computed from.
-    reach_cache: dict[frozenset[int], set[int]] = {}
-
-    def base_for(v: PatternNode) -> set[int]:
-        key = (v.type, v.is_output)
-        cached = base_cache.get(key)
-        if cached is not None:
-            stats.base_cache_hits += 1
-            return cached
-        stats.base_cache_misses += 1
-        base = {u.id for u in target_nodes if compatible_nodes(v, u)}
-        base_cache[key] = base
-        return base
-
-    def reach_for(admissible: set[int]) -> set[int]:
-        key = frozenset(admissible)
-        cached = reach_cache.get(key)
-        if cached is not None:
-            stats.reach_cache_hits += 1
-            return cached
-        stats.reach_cache_misses += 1
-        reach = _nodes_with_target_below(target_postorder, admissible)
-        reach_cache[key] = reach
-        return reach
-
-    for v in source.postorder():
-        base = base_for(v)
-        if v.is_leaf:
-            targets[v.id] = base
-            continue
-        # For each d-child of v, precompute which target nodes have an
-        # admissible target in their proper-descendant set. One postorder
-        # pass over the target per *distinct* admissible set keeps the
-        # whole DP polynomial (and shared sets cost one pass total).
-        reach_below: dict[int, set[int]] = {}
-        for cv in v.children:
-            if cv.edge.is_descendant:
-                reach_below[cv.id] = reach_for(targets[cv.id])
-        admissible: set[int] = set()
-        for u in target_nodes:
-            if u.id not in base:
-                continue
-            if _children_mappable(v, u, targets, reach_below):
-                admissible.add(u.id)
-        targets[v.id] = admissible
-    return targets
-
-
-def _children_mappable(
-    v: PatternNode,
-    u: PatternNode,
-    targets: dict[int, set[int]],
-    reach_below: dict[int, set[int]],
-) -> bool:
-    for cv in v.children:
-        if cv.edge.is_child:
-            # A c-edge requires a *c-child* target: the target pattern
-            # only guarantees direct containment along its own c-edges.
-            if not any(uc.id in targets[cv.id] for uc in u.c_children()):
-                return False
-        else:
-            if u.id not in reach_below[cv.id]:
-                return False
-    return True
-
-
-def _nodes_with_target_below(
-    target_postorder: list[PatternNode], admissible: set[int]
-) -> set[int]:
-    """Ids of target nodes having a proper descendant in ``admissible``.
-
-    Takes the target's postorder as a precomputed list so repeated passes
-    (one per distinct admissible set) skip the tree walk.
-    """
-    result: set[int] = set()
-    for u in target_postorder:
-        if any(c.id in admissible or c.id in result for c in u.children):
-            result.add(u.id)
-    return result
 
 
 def find_containment_mapping(

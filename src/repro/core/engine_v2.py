@@ -1,9 +1,9 @@
-"""Engine v2 — the flat, array-native minimization core.
+"""The flat, array-native minimization core.
 
-This module reimplements the two hot kernels of the minimizer — the
-``redundant-leaf`` images engine (:mod:`repro.core.images`) and the
-``mapping_targets`` containment DP (:mod:`repro.core.containment`) — over
-a *flat* representation:
+This module implements the two hot kernels of the minimizer — the
+``redundant-leaf`` images engine (Figure 3 of the paper) and the
+containment DP behind :func:`repro.core.containment.mapping_targets`
+(Section 4) — over a *flat* representation:
 
 * a :class:`FlatPattern` compiles a :class:`~repro.core.pattern.TreePattern`
   into parallel preorder arrays (interned type table, parent/depth/type/
@@ -16,29 +16,23 @@ a *flat* representation:
   relation row) is a **bitset**: one Python int whose bit ``s`` stands for
   the target in *slot* ``s``. Slots are assigned in ascending id order
   (virtual targets have negative ids, so they occupy the low slots), which
-  makes the lowest set bit of any row the minimum id — every ``min()``
-  tie-break of the v1 engines is one ``bits & -bits`` here.
+  makes the lowest set bit of any row the minimum id — every
+  smallest-id tie-break is one ``bits & -bits``.
 
-The flat engines are byte-for-byte equivalent to v1 — same results, same
-early exits, same memo keys and eviction rules, same counter values — and
-the differential suites in ``tests/test_engine_v2.py`` pin exactly that.
-Dispatch between the engines happens in the v1 modules' facades
-(:func:`repro.core.images.create_images_engine`,
-:func:`repro.core.containment.mapping_targets`) via
-:mod:`repro.core.engine_config`.
+``tests/test_engine_v2.py`` pins the results — minimized patterns,
+elimination orders, witnesses — against reference outputs frozen in
+``tests/fixtures/core_v1_reference.json``.
 
-Deletion maintenance is where the flat design pays most: the v1 engine
-updates O(depth) ancestor/descendant rows and subtracts dead ids from
-every memoized base set per deletion. Here the relation bitsets and type
-index are **never** maintained — they are built once and may contain bits
-of deleted targets forever. A single ``live`` mask is cleared instead,
-and every row is computed as ``base & live & ~excluded`` at the point of
-use, which masks stale bits automatically.
+Deletion maintenance is where the flat design pays most: the relation
+bitsets and type index are **never** maintained — they are built once
+and may contain bits of deleted targets forever. A single ``live`` mask
+is cleared instead, and every row is computed as
+``base & live & ~excluded`` at the point of use, which masks stale bits
+automatically.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -55,8 +49,6 @@ __all__ = [
     "FlatImagesEngine",
     "flat_mapping_targets",
     "pattern_from_flat",
-    "flat_pickle_enabled",
-    "flat_pickle",
     "bits_to_ids",
     "ids_to_bits",
     "iter_slots",
@@ -265,51 +257,71 @@ def pattern_from_flat(flat: FlatPattern) -> TreePattern:
     return flat.to_pattern()
 
 
-#: Whether TreePattern pickles through FlatPattern (see
-#: :meth:`TreePattern.__reduce_ex__`). On by default; the benchmark uses
-#: the context manager below to measure the legacy object-graph pickles.
-_flat_pickle = True
-
-
-def flat_pickle_enabled() -> bool:
-    """Whether patterns currently pickle through :class:`FlatPattern`."""
-    return _flat_pickle
-
-
-@contextlib.contextmanager
-def flat_pickle(enabled: bool) -> Iterator[None]:
-    """Temporarily enable/disable flat pickling (benchmark/testing hook)."""
-    global _flat_pickle
-    previous = _flat_pickle
-    _flat_pickle = bool(enabled)
-    try:
-        yield
-    finally:
-        _flat_pickle = previous
-
-
 # ---------------------------------------------------------------------------
 # FlatImagesEngine — bitset redundant-leaf tests
 # ---------------------------------------------------------------------------
 
 
 class FlatImagesEngine:
-    """Bitset implementation of :class:`repro.core.images.ImagesEngine`.
+    """Runs the paper's ``redundant-leaf`` tests against one pattern.
 
-    Same public surface (``is_redundant_leaf`` / ``delete_leaf`` /
-    ``redundancy_witness`` / ``pattern`` / ``virtual`` / ``stats``), same
-    results and counters; construct through
-    :func:`repro.core.images.create_images_engine`.
+    To test whether a leaf ``b`` of query ``Q`` is redundant, associate
+    with every node ``v`` the set ``images(v)`` of nodes ``v`` could map
+    to under a containment mapping into ``Q - b`` (type-compatible;
+    ``b`` itself and any augmentation target anchored at ``b`` are
+    excluded from every set, so a surviving mapping certifies ``Q - b``
+    equivalent to ``Q``). The sets are pruned bottom-up: a target ``s``
+    is dropped from ``images(v)`` when some c-child (d-child) ``u`` of
+    ``v`` has no member of ``images(u)`` that is a c-child (proper
+    descendant) of ``s``. The leaf is redundant iff the pruned
+    ``images(root)`` is non-empty (Theorem 4.2). The walk from the
+    leaf's parent to the root implements the early exits of Figure 3:
+    empty ``images(v)`` means NO immediately; ``v ∈ images(v)`` means
+    YES immediately (identity extends upward).
 
-    Build compiles the pattern plus its virtual targets into per-slot
-    relation bitsets (``cc``: c-children, ``desc``: proper descendants,
-    ``anc``: ancestors) over the combined tree, a type→slots index, and a
-    static anchored-virtuals map. None of these are maintained across
-    deletions — see the module docstring for the ``live``-mask invariant
-    that makes :meth:`delete_leaf` O(1) modulo memo eviction.
+    Following Section 6.1, the ancestor/descendant relation and the
+    images sets are tables (here: bitset rows), and nodes contributed by
+    IC augmentation are never materialized — they take part only as
+    extra targets (:class:`~repro.core.images.VirtualTarget`).
+
+    The engine snapshots the pattern once and then *tracks* leaf
+    deletions through :meth:`delete_leaf`, so the CIM elimination loop
+    (:mod:`repro.core.cim`) reuses one engine for its whole run instead
+    of rebuilding it O(n) times; any other mutation of the pattern while
+    the engine is in use invalidates it. Build compiles the pattern plus
+    its virtual targets into per-slot relation bitsets (``cc``:
+    c-children, ``desc``: proper descendants, ``anc``: ancestors) over
+    the combined tree, a type→slots index, and a static anchored-virtuals
+    map. None of these are maintained across deletions — see the module
+    docstring for the ``live``-mask invariant that makes
+    :meth:`delete_leaf` O(1) modulo memo eviction.
+
+    Parameters
+    ----------
+    pattern:
+        The query under test.
+    virtual:
+        Augmentation targets (see :class:`~repro.core.images.VirtualTarget`).
+        Empty for constraint-independent minimization.
+    stats:
+        Optional shared :class:`~repro.core.images.ImagesStats` to
+        accumulate timings into.
+    pair_filter:
+        Optional extra compatibility predicate ``(source_node_id,
+        target_id) -> bool`` applied when initializing images sets. Used
+        by the value-predicate extension (Section 7 of the paper): a
+        target is admissible only if its conditions entail the source's.
+        Must be deterministic — the prune memo replays its results.
+    prune_memo:
+        Reuse pruned sibling-subtree images across redundancy checks
+        (see :meth:`_prune_child_subtree`). ``None`` (default) follows
+        the process-wide oracle-cache switch
+        (:func:`repro.core.oracle_cache.global_enabled`); pass ``False``
+        for the memo-free baseline.
     """
 
-    #: Whole-memo reset threshold (same policy as the v1 engine).
+    #: Whole-memo reset threshold: entries reference the pruned rows of
+    #: past checks, so an unbounded memo would pin every check's rows.
     PRUNE_MEMO_CAP = 4096
 
     def __init__(
@@ -419,7 +431,7 @@ class FlatImagesEngine:
         self._base_cache: dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # Public API (mirrors ImagesEngine)
+    # Public API
     # ------------------------------------------------------------------
 
     def is_redundant_leaf(self, leaf: PatternNode) -> bool:
@@ -434,7 +446,10 @@ class FlatImagesEngine:
         clearing the leaf's (and its anchored virtuals') bits from the
         ``live`` mask retires them everywhere at once, because every row
         is masked with ``live`` at the point of use. Only the prune memo
-        needs real eviction — same staleness rule as v1.
+        needs real eviction: subtrees on the leaf's ancestor path changed
+        structurally, so their memoized prunes and relevant masks are
+        stale; elsewhere an entry stays exact unless its relevant mask saw
+        a dead bit.
         """
         start = time.perf_counter()
         leaf_id = leaf.id
@@ -536,6 +551,12 @@ class FlatImagesEngine:
     def _run(
         self, leaf: PatternNode
     ) -> Optional[tuple[dict[int, int], PatternNode]]:
+        """Run the test; return ``(pruned rows, stop node)`` when the
+        leaf is redundant, else ``None``.
+
+        ``stop node`` is the ancestor at which an early YES fired
+        (identity extends above it), or the root.
+        """
         if not leaf.is_leaf:
             raise InvalidPatternError("redundant-leaf requires a leaf node")
         if leaf.is_output:
@@ -595,10 +616,19 @@ class FlatImagesEngine:
         excluded: int,
     ) -> None:
         """Prune ``child``'s subtree, reusing a memoized result when an
-        earlier check pruned it under an equivalent exclusion (same key
-        semantics as v1: excluded ids never include dead targets, so the
-        ``excluded & relevant`` key is insensitive to the stale bits a
-        cached relevant mask may carry)."""
+        earlier check pruned it under an equivalent exclusion.
+
+        The pruned rows of a subtree are a pure function of its
+        structure, its initial rows (base rows minus the excluded bits)
+        and the relation among live targets. Base rows are bounded by the
+        subtree's *relevant* mask, so two exclusions with the same
+        intersection with it yield identical pruned rows: the memo key is
+        ``(subtree root, excluded & relevant)``. Sibling-leaf checks
+        differ only in the leaf under test, so subtrees that cannot see
+        either leaf share a key — the reuse this memo exists for.
+        Excluded bits never include dead targets, so the key is
+        insensitive to the stale bits a cached relevant mask may carry.
+        """
         if not self.use_prune_memo:
             self._minimize_rows(child, rows, marked, excluded)
             return
@@ -642,8 +672,7 @@ class FlatImagesEngine:
         cc = self._cc
         desc = self._desc
         # One (child row, relation table) pair per child: the support test
-        # for candidate s is a single AND per child instead of the v1
-        # generator over images(u) with per-member hash probes.
+        # for candidate s is a single AND per child.
         tests = [
             (rows[u.id], cc if u.edge is EdgeKind.CHILD else desc)
             for u in node.children
@@ -674,6 +703,14 @@ class FlatImagesEngine:
     def _extract(
         self, rows: dict[int, int], stop_node: PatternNode
     ) -> dict[int, int]:
+        """Build a concrete endomorphism from pruned rows.
+
+        Identity is used on ``stop_node``'s strict ancestors and their
+        other subtrees (sound: the early-YES condition means ``stop_node``
+        maps to itself, and everything outside its subtree is untouched).
+        Inside the subtree the choice is greedy top-down, smallest id
+        first, which is safe on trees.
+        """
         mapping: dict[int, int] = {}
         for node in self.pattern.nodes():
             mapping[node.id] = node.id
@@ -681,8 +718,7 @@ class FlatImagesEngine:
         if row >> self._slot_of[stop_node.id] & 1:
             root_target = stop_node.id
         else:
-            # Lowest set bit = minimum id (slots ascend by id), matching
-            # the v1 min() tie-break.
+            # Lowest set bit = minimum id (slots ascend by id).
             root_target = self._id_of[(row & -row).bit_length() - 1]
         self._assign(stop_node, root_target, rows, mapping)
         return mapping
@@ -709,12 +745,12 @@ class FlatImagesEngine:
 def flat_mapping_targets(source: TreePattern, target: TreePattern, stats) -> dict[int, set[int]]:
     """Bitset implementation of the ``mapping_targets`` DP.
 
-    Called by the :func:`repro.core.containment.mapping_targets` facade
-    (which owns the oracle-cache lookup/store around it); ``stats`` is a
+    Called by :func:`repro.core.containment.mapping_targets` (which owns
+    the oracle-cache lookup/store around it); ``stats`` is a
     non-optional :class:`~repro.core.containment.ContainmentStats`. Rows
     are bitsets over the target's slots; the reach pass is memoized per
-    distinct row value — the same dedup granularity as v1's frozenset
-    keys — and base rows per ``(type, is_output)`` source class.
+    distinct row value, and base rows per ``(type, is_output)`` source
+    class.
     """
     target_nodes = list(target.nodes())
     id_of = sorted(node.id for node in target_nodes)

@@ -1,52 +1,25 @@
-"""The ``redundant-leaf`` test via *images* sets (Figure 3 of the paper).
+"""Shared types of the ``redundant-leaf`` test (Figure 3 of the paper).
 
-To test whether a leaf ``b`` of query ``Q`` is redundant, associate with
-every node ``v`` the set ``images(v)`` of nodes ``v`` could map to under a
-containment mapping into ``Q - b`` (type-compatible; ``b`` itself and any
-augmentation target anchored at ``b`` are excluded from every set, so a
-surviving mapping certifies ``Q - b`` equivalent to ``Q``). The sets
-are pruned bottom-up: a target ``s`` is dropped from ``images(v)`` when
-some c-child (d-child) ``u`` of ``v`` has no member of ``images(u)`` that
-is a c-child (proper descendant) of ``s``. The leaf is redundant iff the
-pruned ``images(root)`` is non-empty (Theorem 4.2).
+The test itself runs in :class:`repro.core.engine_v2.FlatImagesEngine`,
+which documents the algorithm. This module holds the two types its
+callers share with it:
 
-Following Section 6.1 of the paper, the ancestor/descendant relation and
-the images sets are hash tables, and nodes contributed by IC augmentation
-are **never materialized**: they participate only as extra *targets* in
-these tables (:class:`VirtualTarget`). The walk from the leaf's parent to
-the root implements the early exits of Figure 3: empty ``images(v)`` means
-NO immediately; ``v ∈ images(v)`` means YES immediately (identity extends
-upward).
-
-The tables are *maintained incrementally* across leaf deletions
-(:meth:`ImagesEngine.delete_leaf`): removing a leaf touches only its own
-rows, its ancestors' descendant sets, and the virtual targets anchored at
-it, so the CIM elimination loop reuses one engine for its whole run
-instead of rebuilding O(n) times. Per-node *base* candidate sets (the
-type-compatibility part of an images set, which is deletion-invariant
-modulo removed ids) are memoized for the same reason — see
-:meth:`ImagesEngine._base_images`.
+* :class:`VirtualTarget` — a node that IC augmentation guarantees but
+  never materializes. Following Section 6.1 of the paper, such nodes
+  live only as extra *targets* in the images and ancestor/descendant
+  tables;
+* :class:`ImagesStats` — the engine's timing and counter
+  instrumentation (the Figure 7(b) table-vs-prune split).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
 
 from ..errors import InvalidPatternError
-from . import oracle_cache as _oracle_cache
 from .edges import EdgeKind
-from .node import PatternNode
-from .pattern import TreePattern
 
-__all__ = [
-    "VirtualTarget",
-    "AncestorTable",
-    "ImagesStats",
-    "ImagesEngine",
-    "create_images_engine",
-]
+__all__ = ["VirtualTarget", "ImagesStats"]
 
 
 @dataclass(frozen=True)
@@ -93,107 +66,6 @@ class VirtualTarget:
     def __post_init__(self) -> None:
         if self.id >= 0:
             raise InvalidPatternError("virtual target ids must be negative")
-
-
-class AncestorTable:
-    """Hash-indexed ancestor/descendant relation over a pattern plus
-    virtual targets (the paper's ancestor/descendant table, Section 6.1).
-    """
-
-    def __init__(self, pattern: TreePattern, virtual: Sequence[VirtualTarget] = ()) -> None:
-        self._ancestors: dict[int, frozenset[int]] = {}
-        self._c_children: dict[int, set[int]] = {}
-        self._descendants: dict[int, set[int]] = {}
-        self._build(pattern, virtual)
-
-    def _build(self, pattern: TreePattern, virtual: Sequence[VirtualTarget]) -> None:
-        for node in pattern.nodes():
-            parent = node.parent
-            if parent is None:
-                anc: frozenset[int] = frozenset()
-            else:
-                anc = self._ancestors[parent.id] | {parent.id}
-            self._ancestors[node.id] = anc
-            self._c_children.setdefault(node.id, set())
-            self._descendants.setdefault(node.id, set())
-            if parent is not None:
-                if node.edge is EdgeKind.CHILD:
-                    self._c_children[parent.id].add(node.id)
-                for a in anc:
-                    self._descendants[a].add(node.id)
-        for vt in virtual:
-            if vt.parent_id not in self._ancestors:
-                raise InvalidPatternError(
-                    f"virtual target {vt.id} attached to unknown node {vt.parent_id}"
-                )
-            anc = self._ancestors[vt.parent_id] | {vt.parent_id}
-            self._ancestors[vt.id] = anc
-            self._c_children.setdefault(vt.id, set())
-            self._descendants.setdefault(vt.id, set())
-            if vt.edge is EdgeKind.CHILD:
-                self._c_children[vt.parent_id].add(vt.id)
-            for a in anc:
-                self._descendants[a].add(vt.id)
-
-    def is_c_child(self, node_id: int, parent_id: int) -> bool:
-        """Whether ``node_id`` is a c-child of ``parent_id``."""
-        return node_id in self._c_children.get(parent_id, ())
-
-    def ancestors_of(self, node_id: int) -> frozenset[int]:
-        """Ids of ``node_id``'s proper ancestors (empty for the root or
-        for ids not in the table)."""
-        return self._ancestors.get(node_id, frozenset())
-
-    def is_descendant(self, node_id: int, ancestor_id: int) -> bool:
-        """Whether ``node_id`` is a proper descendant of ``ancestor_id``."""
-        return ancestor_id in self._ancestors.get(node_id, ())
-
-    def has_row(self, node_id: int) -> bool:
-        """Whether ``node_id`` (real or virtual) is still in the table."""
-        return node_id in self._ancestors
-
-    def c_children_of(self, parent_id: int) -> frozenset[int]:
-        """Ids of c-children (real and virtual) of ``parent_id``.
-
-        Returns a frozen view: the table's internal sets are never handed
-        out, so callers cannot corrupt the relation.
-        """
-        return frozenset(self._c_children.get(parent_id, ()))
-
-    def descendants_of(self, ancestor_id: int) -> frozenset[int]:
-        """Ids of proper descendants (real and virtual) of ``ancestor_id``
-        (a frozen view — see :meth:`c_children_of`)."""
-        return frozenset(self._descendants.get(ancestor_id, ()))
-
-    def delete_leaf(self, node_id: int) -> None:
-        """Incrementally remove a childless row from the table.
-
-        ``node_id`` may be a real pattern node or a virtual target; it
-        must have no remaining descendants in the table (virtual targets
-        anchored at a real node count as its descendants and must be
-        deleted first — :meth:`ImagesEngine.delete_leaf` handles the
-        ordering).
-
-        Cost is O(depth): the row itself plus one discard in each
-        ancestor's descendant set (and the parent's c-children set).
-        """
-        anc = self._ancestors.get(node_id)
-        if anc is None:
-            raise InvalidPatternError(f"node {node_id} is not in the table")
-        if self._descendants.get(node_id) or self._c_children.get(node_id):
-            raise InvalidPatternError(
-                f"node {node_id} still has descendants; delete them first"
-            )
-        del self._ancestors[node_id]
-        self._descendants.pop(node_id, None)
-        self._c_children.pop(node_id, None)
-        for a in anc:
-            children = self._c_children.get(a)
-            if children is not None:
-                children.discard(node_id)
-            below = self._descendants.get(a)
-            if below is not None:
-                below.discard(node_id)
 
 
 @dataclass
@@ -258,468 +130,3 @@ class ImagesStats:
             "prune_memo_misses": self.prune_memo_misses,
             "prune_memo_evictions": self.prune_memo_evictions,
         }
-
-
-def create_images_engine(
-    pattern: TreePattern,
-    virtual: Sequence[VirtualTarget] = (),
-    stats: Optional[ImagesStats] = None,
-    pair_filter: Optional[Callable[[int, int], bool]] = None,
-    prune_memo: Optional[bool] = None,
-    *,
-    engine: Optional[str] = None,
-):
-    """Construct a redundant-leaf engine for ``pattern``.
-
-    This is the dispatching facade the minimizers go through: ``engine``
-    (``"v1"``/``"v2"``/``None``) resolves via
-    :func:`repro.core.engine_config.resolve_core_engine` — explicit
-    argument, then the active ``Session`` scope, then the process default
-    (``REPRO_CORE_ENGINE``, default v2). Both engines expose the same
-    API and produce byte-identical results; v2
-    (:class:`repro.core.engine_v2.FlatImagesEngine`) runs the images sets
-    as bitsets over a flat compilation of the pattern.
-    """
-    from .engine_config import resolve_core_engine
-
-    if resolve_core_engine(engine) == "v2":
-        from .engine_v2 import FlatImagesEngine
-
-        return FlatImagesEngine(
-            pattern, virtual, stats, pair_filter=pair_filter, prune_memo=prune_memo
-        )
-    return ImagesEngine(
-        pattern, virtual, stats, pair_filter=pair_filter, prune_memo=prune_memo
-    )
-
-
-class ImagesEngine:
-    """Runs ``redundant-leaf`` tests against one pattern.
-
-    The engine snapshots the pattern's structure into hash tables once and
-    then *tracks* leaf deletions through :meth:`delete_leaf`; any other
-    mutation of the pattern while the engine is in use invalidates it.
-    The CIM driver (:mod:`repro.core.cim`) performs its whole elimination
-    loop against one engine this way.
-
-    Parameters
-    ----------
-    pattern:
-        The query under test.
-    virtual:
-        Augmentation targets (see :class:`VirtualTarget`). Empty for
-        constraint-independent minimization.
-    stats:
-        Optional shared :class:`ImagesStats` to accumulate timings into.
-    pair_filter:
-        Optional extra compatibility predicate ``(source_node_id,
-        target_id) -> bool`` applied when initializing images sets. Used
-        by the value-predicate extension (Section 7 of the paper): a
-        target is admissible only if its conditions entail the source's.
-        Must be deterministic — the prune memo replays its results.
-    prune_memo:
-        Reuse pruned sibling-subtree images across redundancy checks
-        (see :meth:`_prune_child_subtree`). ``None`` (default) follows
-        the process-wide oracle-cache switch
-        (:func:`repro.core.oracle_cache.global_enabled`); pass ``False``
-        for the memo-free baseline used by differential tests.
-    """
-
-    #: Whole-memo reset threshold: entries reference the pruned sets of
-    #: past checks, so an unbounded memo would pin every check's sets.
-    PRUNE_MEMO_CAP = 4096
-
-    def __init__(
-        self,
-        pattern: TreePattern,
-        virtual: Sequence[VirtualTarget] = (),
-        stats: Optional[ImagesStats] = None,
-        pair_filter: Optional[Callable[[int, int], bool]] = None,
-        prune_memo: Optional[bool] = None,
-    ) -> None:
-        self.pattern = pattern
-        self.virtual = tuple(virtual)
-        self.pair_filter = pair_filter
-        self.use_prune_memo = (
-            _oracle_cache.global_enabled() if prune_memo is None else bool(prune_memo)
-        )
-        # Pruned sibling-subtree results: (subtree root id, relevant part
-        # of the excluded set) -> ({node id -> pruned images set over the
-        # subtree}, the subtree's relevant set when stored).
-        self._prune_memo: dict[
-            tuple[int, frozenset[int]], tuple[dict[int, set[int]], frozenset[int]]
-        ] = {}
-        # Per-subtree union of base candidate sets ("relevant" ids): the
-        # part of the target space a subtree's pruning can observe.
-        self._relevant_cache: dict[int, frozenset[int]] = {}
-        self.stats = stats if stats is not None else ImagesStats()
-        self.stats.engine_builds += 1
-        start = time.perf_counter()
-        self.ancestors = AncestorTable(pattern, self.virtual)
-        # Type index over real nodes and virtual targets: type -> ids.
-        self._by_type: dict[str, set[int]] = {}
-        self._starred: set[int] = set()
-        # Memoized per-node *base* candidate sets (type compatibility,
-        # output marker, pair filter) — everything about an images set
-        # that does not depend on which leaf is under test. Maintained
-        # across deletions by delete_leaf.
-        self._base_cache: dict[int, set[int]] = {}
-        for node in pattern.nodes():
-            for t in node.all_types:
-                self._by_type.setdefault(t, set()).add(node.id)
-            if node.is_output:
-                self._starred.add(node.id)
-        for vt in self.virtual:
-            for t in vt.all_types:
-                self._by_type.setdefault(t, set()).add(vt.id)
-        self.stats.tables_seconds += time.perf_counter() - start
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-
-    def is_redundant_leaf(self, leaf: PatternNode) -> bool:
-        """The paper's ``redundant-leaf`` test for ``leaf``."""
-        return self._run(leaf) is not None
-
-    def _anchored_at(self, node_id: int) -> tuple[VirtualTarget, ...]:
-        """Virtual targets anchored at ``node_id``, transitively: a witness
-        subtree hangs off its anchor through virtual-parented targets, and
-        the whole subtree stands or falls with the anchor. One forward pass
-        suffices because ``self.virtual`` lists parents before children."""
-        dead = {node_id}
-        anchored: list[VirtualTarget] = []
-        for vt in self.virtual:
-            if vt.parent_id in dead:
-                anchored.append(vt)
-                dead.add(vt.id)
-        return tuple(anchored)
-
-    def delete_leaf(self, leaf: PatternNode) -> tuple[VirtualTarget, ...]:
-        """Incrementally track the deletion of ``leaf`` from the pattern.
-
-        Call right after :meth:`TreePattern.delete_leaf` removed ``leaf``
-        (the detached node object still carries its id and types). The
-        update removes the leaf's rows from the ancestor/descendant table
-        and type index, drops every virtual target anchored at the leaf
-        (an IC guarantee around a node vanishes with the node), and
-        subtracts the dead ids from the memoized base candidate sets.
-
-        Returns the dropped virtual targets. Cost is O(depth) per removed
-        row plus one hash probe per memoized base set — versus O(n²) for
-        a from-scratch engine rebuild.
-        """
-        start = time.perf_counter()
-        leaf_id = leaf.id
-        ancestor_ids = self.ancestors.ancestors_of(leaf_id)
-        dropped = self._anchored_at(leaf_id)
-        # Delete deepest-first: the ancestor table refuses to drop a row
-        # that still has descendants, and witness subtrees list parents
-        # before children.
-        for vt in reversed(dropped):
-            self.ancestors.delete_leaf(vt.id)
-            for t in vt.all_types:
-                bucket = self._by_type.get(t)
-                if bucket is not None:
-                    bucket.discard(vt.id)
-        self.ancestors.delete_leaf(leaf_id)
-        for t in leaf.all_types:
-            bucket = self._by_type.get(t)
-            if bucket is not None:
-                bucket.discard(leaf_id)
-        if dropped:
-            dead_ids = {vt.id for vt in dropped}
-            self.virtual = tuple(
-                vt for vt in self.virtual if vt.id not in dead_ids
-            )
-        dead = {leaf_id}
-        dead.update(vt.id for vt in dropped)
-        self._base_cache.pop(leaf_id, None)
-        for base in self._base_cache.values():
-            base.difference_update(dead)
-        # Prune-memo maintenance. Subtrees on the leaf's ancestor path
-        # changed structurally — their memoized prunes and relevant sets
-        # are stale. Everywhere else the structure is intact and the base
-        # sets merely lost the dead ids, so: entries whose relevant set
-        # never saw a dead id are still exact (their pruned sets cannot
-        # mention it), the rest are dropped; relevant sets shrink by the
-        # dead ids exactly as their underlying base sets did.
-        if self.use_prune_memo:
-            stale = set(ancestor_ids)
-            stale.add(leaf_id)
-            self._prune_memo = {
-                (root, key): entry
-                for (root, key), entry in self._prune_memo.items()
-                if root not in stale and not (entry[1] & dead)
-            }
-            self._relevant_cache = {
-                node_id: relevant - dead
-                for node_id, relevant in self._relevant_cache.items()
-                if node_id not in stale
-            }
-        self.stats.incremental_deletes += 1
-        self.stats.tables_seconds += time.perf_counter() - start
-        return dropped
-
-    def redundancy_witness(self, leaf: PatternNode) -> Optional[dict[int, int]]:
-        """A concrete endomorphism witnessing redundancy of ``leaf``.
-
-        Returns a mapping from real node ids to target ids (which may be
-        negative = virtual), or ``None`` if the leaf is not redundant. Used
-        by tests to certify each deletion.
-        """
-        result = self._run(leaf)
-        if result is None:
-            return None
-        images, stop_node = result
-        return self._extract(images, stop_node)
-
-    # ------------------------------------------------------------------
-    # Core algorithm (Figure 3)
-    # ------------------------------------------------------------------
-
-    def _base_images(self, node: PatternNode) -> set[int]:
-        """The memoized deletion-invariant part of ``images(node)``.
-
-        Type compatibility, the output-marker restriction, and the pair
-        filter do not depend on which leaf is under test, so they are
-        computed once per node and only ever *shrink* (delete_leaf
-        subtracts removed ids). The returned set is owned by the cache —
-        callers must not mutate it.
-        """
-        cached = self._base_cache.get(node.id)
-        if cached is not None:
-            self.stats.base_cache_hits += 1
-            return cached
-        self.stats.base_cache_misses += 1
-        candidates = set(self._by_type.get(node.type, ()))
-        # The output node may only map to the output node; non-output
-        # nodes may map anywhere, including onto the output node (the
-        # marker constrains where the answer comes from, not what else
-        # may fold onto that position).
-        if node.is_output:
-            candidates &= self._starred
-        if self.pair_filter is not None:
-            candidates = {t for t in candidates if self.pair_filter(node.id, t)}
-        self._base_cache[node.id] = candidates
-        return candidates
-
-    def _excluded_for(self, leaf: PatternNode) -> frozenset[int]:
-        """Target ids barred from every images set when testing ``leaf``.
-
-        Deleting `leaf` must leave an equivalent query, i.e. there must
-        be a containment mapping from Q into (Q - leaf) plus the
-        augmentation of (Q - leaf). Two target families therefore drop
-        out of every images set:
-
-        * `leaf` itself — it is exactly what is being deleted;
-        * virtual targets anchored at `leaf` — an IC guarantee around
-          a node vanishes with the node (without this, `b ->> b`-style
-          closure facts let a leaf justify its own deletion).
-        """
-        excluded = {leaf.id}
-        excluded.update(vt.id for vt in self._anchored_at(leaf.id))
-        return frozenset(excluded)
-
-    def _initial_images(
-        self, leaf: PatternNode, excluded: frozenset[int]
-    ) -> dict[int, set[int]]:
-        start = time.perf_counter()
-        images: dict[int, set[int]] = {}
-        max_size = self.stats.max_image_size
-        for node in self.pattern.nodes():
-            candidates = self._base_images(node) - excluded
-            images[node.id] = candidates
-            if len(candidates) > max_size:
-                max_size = len(candidates)
-        self.stats.max_image_size = max_size
-        self.stats.tables_seconds += time.perf_counter() - start
-        return images
-
-    def _run(self, leaf: PatternNode) -> Optional[tuple[dict[int, set[int]], PatternNode]]:
-        """Run the test; return ``(pruned images, stop node)`` when the
-        leaf is redundant, else ``None``.
-
-        ``stop node`` is the ancestor at which an early YES fired (identity
-        extends above it), or the root.
-        """
-        if not leaf.is_leaf:
-            raise InvalidPatternError("redundant-leaf requires a leaf node")
-        if leaf.is_output:
-            return None
-        self.stats.redundancy_checks += 1
-        excluded = self._excluded_for(leaf)
-        images = self._initial_images(leaf, excluded)
-        if not images[leaf.id]:
-            return None
-
-        start = time.perf_counter()
-        try:
-            marked: set[int] = {leaf.id}
-            node = leaf.parent
-            while node is not None:
-                self._minimize_images(node, images, marked, excluded)
-                if not images[node.id]:
-                    return None
-                if node.id in images[node.id]:
-                    # Early YES: node maps to itself, identity extends to
-                    # all ancestors (Figure 3, step 4.3).
-                    return images, node
-                node = node.parent
-            root = self.pattern.root
-            if images[root.id]:
-                return images, root
-            return None
-        finally:
-            self.stats.prune_seconds += time.perf_counter() - start
-
-    def _relevant(self, node: PatternNode) -> frozenset[int]:
-        """Union of base candidate sets over ``node``'s subtree — every
-        target id the subtree's pruning can possibly observe. Cached per
-        node; :meth:`delete_leaf` keeps the cache exact."""
-        cached = self._relevant_cache.get(node.id)
-        if cached is not None:
-            return cached
-        stack: list[tuple[PatternNode, bool]] = [(node, False)]
-        while stack:
-            current, expanded = stack.pop()
-            if current.id in self._relevant_cache:
-                continue
-            if not expanded:
-                stack.append((current, True))
-                stack.extend((child, False) for child in current.children)
-                continue
-            relevant = set(self._base_images(current))
-            for child in current.children:
-                relevant |= self._relevant_cache[child.id]
-            self._relevant_cache[current.id] = frozenset(relevant)
-        return self._relevant_cache[node.id]
-
-    def _prune_child_subtree(
-        self,
-        child: PatternNode,
-        images: dict[int, set[int]],
-        marked: set[int],
-        excluded: frozenset[int],
-    ) -> None:
-        """Prune ``child``'s whole subtree, reusing a memoized result when
-        an earlier redundancy check already pruned it under an equivalent
-        exclusion.
-
-        The pruned sets of a subtree are a pure function of (a) the
-        subtree's structure, (b) its initial images — the base sets minus
-        the excluded ids — and (c) the ancestor/descendant relation among
-        live targets. Base sets are bounded by the subtree's *relevant*
-        set, so two excluded sets with the same intersection with it
-        yield identical initial images, hence identical pruned sets: the
-        memo key is ``(subtree root, excluded ∩ relevant)``. Sibling-leaf
-        checks differ only in the leaf under test, so subtrees that
-        cannot see either leaf share the empty key — the reuse this memo
-        exists for.
-        """
-        if not self.use_prune_memo:
-            self._minimize_images(child, images, marked, excluded)
-            return
-        relevant = self._relevant(child)
-        key = (child.id, excluded & relevant)
-        entry = self._prune_memo.get(key)
-        if entry is not None:
-            self.stats.prune_memo_hits += 1
-            pruned, _ = entry
-            # The memoized sets are shared read-only: every consumer
-            # (parent-level pruning, witness extraction) only reads
-            # them, and re-pruning always *replaces* a node's set.
-            for node_id, targets in pruned.items():
-                images[node_id] = targets
-                marked.add(node_id)
-            return
-        self.stats.prune_memo_misses += 1
-        self._minimize_images(child, images, marked, excluded)
-        if len(self._prune_memo) >= self.PRUNE_MEMO_CAP:
-            self._prune_memo.clear()
-            self.stats.prune_memo_evictions += 1
-        pruned = {}
-        stack = [child]
-        while stack:
-            current = stack.pop()
-            pruned[current.id] = images[current.id]
-            stack.extend(current.children)
-        self._prune_memo[key] = (pruned, relevant)
-
-    def _minimize_images(
-        self,
-        node: PatternNode,
-        images: dict[int, set[int]],
-        marked: set[int],
-        excluded: frozenset[int],
-    ) -> None:
-        """Prune ``images`` throughout ``node``'s subtree (post-order)."""
-        if node.is_leaf:
-            marked.add(node.id)
-            return
-        for child in node.children:
-            if child.id not in marked:
-                self._prune_child_subtree(child, images, marked, excluded)
-        survivors: set[int] = set()
-        for s in images[node.id]:
-            if self._supports_children(s, node, images):
-                survivors.add(s)
-            else:
-                self.stats.pruned_entries += 1
-        images[node.id] = survivors
-        if len(survivors) > self.stats.max_image_size_post_prune:
-            self.stats.max_image_size_post_prune = len(survivors)
-        marked.add(node.id)
-
-    def _supports_children(
-        self, s: int, node: PatternNode, images: dict[int, set[int]]
-    ) -> bool:
-        """Whether target ``s`` has, for every child ``u`` of ``node``, an
-        appropriately-related member of ``images(u)``."""
-        for u in node.children:
-            if u.edge is EdgeKind.CHILD:
-                if not any(self.ancestors.is_c_child(w, s) for w in images[u.id]):
-                    return False
-            else:
-                if not any(self.ancestors.is_descendant(w, s) for w in images[u.id]):
-                    return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Witness extraction
-    # ------------------------------------------------------------------
-
-    def _extract(
-        self, images: dict[int, set[int]], stop_node: PatternNode
-    ) -> dict[int, int]:
-        """Build a concrete endomorphism from pruned images sets.
-
-        Identity is used on ``stop_node``'s strict ancestors and their other
-        subtrees (sound: the early-YES condition means ``stop_node`` maps to
-        itself, and everything outside its subtree is untouched). Inside the
-        subtree the choice is greedy top-down, which is safe on trees.
-        """
-        mapping: dict[int, int] = {}
-        for node in self.pattern.nodes():
-            mapping[node.id] = node.id
-        root_target = (
-            stop_node.id
-            if stop_node.id in images[stop_node.id]
-            else min(images[stop_node.id])
-        )
-        self._assign(stop_node, root_target, images, mapping)
-        return mapping
-
-    def _assign(
-        self, v: PatternNode, s: int, images: dict[int, set[int]], mapping: dict[int, int]
-    ) -> None:
-        mapping[v.id] = s
-        for u in v.children:
-            if u.edge is EdgeKind.CHILD:
-                pool: Iterable[int] = self.ancestors.c_children_of(s)
-            else:
-                pool = self.ancestors.descendants_of(s)
-            choices = [w for w in pool if w in images[u.id]]
-            if not choices:  # pragma: no cover - pruning guarantees a choice
-                raise AssertionError("pruned images admitted an unsupported target")
-            self._assign(u, min(choices), images, mapping)

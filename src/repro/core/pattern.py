@@ -326,12 +326,10 @@ class TreePattern:
         """
         from . import engine_v2  # local import: engine_v2 imports this module
 
-        if engine_v2.flat_pickle_enabled():
-            return (
-                engine_v2.pattern_from_flat,
-                (engine_v2.FlatPattern.from_pattern(self),),
-            )
-        return super().__reduce_ex__(protocol)
+        return (
+            engine_v2.pattern_from_flat,
+            (engine_v2.FlatPattern.from_pattern(self),),
+        )
 
     def copy(self) -> "TreePattern":
         """Deep-copy this pattern, preserving node ids and flags."""

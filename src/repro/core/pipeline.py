@@ -93,7 +93,6 @@ def minimize(
     seed: Optional[int] = None,
     incremental: bool = True,
     oracle_cache: Optional[bool] = None,
-    core_engine: Optional[str] = None,
 ) -> MinimizeResult:
     """Minimize ``pattern`` (optionally under ``constraints``).
 
@@ -105,9 +104,7 @@ def minimize(
     from-scratch engine-rebuild baseline inside ACIM (see
     :func:`repro.core.cim.cim_minimize`); ``oracle_cache=False``
     disables the sibling-subtree prune memo there, ``None`` follows the
-    process-wide oracle-cache switch. ``core_engine`` picks the images
-    engine implementation (``"v1"`` objects / ``"v2"`` flat bitsets; see
-    :mod:`repro.core.engine_config`) — results are byte-identical.
+    process-wide oracle-cache switch.
 
     With ``certify=True`` the run additionally assembles a
     :class:`repro.certify.Certificate` (one witness step per eliminated
@@ -132,7 +129,6 @@ def minimize(
             seed=seed,
             incremental=incremental,
             oracle_cache=oracle_cache,
-            core_engine=core_engine,
         )
         result.pattern = result.acim.pattern
         if certify:
@@ -156,7 +152,6 @@ def minimize(
         seed=seed,
         incremental=incremental,
         oracle_cache=oracle_cache,
-        core_engine=core_engine,
     )
     result.pattern = result.acim.pattern
     if certify:

@@ -89,12 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="inline the full event list in the printed report",
     )
-    run.add_argument(
-        "--engine",
-        choices=("v1", "v2"),
-        default=None,
-        help="core engine override for in-process targets",
-    )
 
     plan = sub.add_parser("plan", help="print the expanded op plan (no execution)")
     plan.add_argument("spec", type=Path)
@@ -109,7 +103,7 @@ def _cmd_run(args) -> int:
     if args.repeat < 1:
         print("error: --repeat must be >= 1", file=sys.stderr)
         return 2
-    options = MinimizeOptions(core_engine=args.engine)
+    options = MinimizeOptions()
     digests = []
     report = None
     for _ in range(args.repeat):

@@ -90,16 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="matching engine for evaluation-side work (default dp)",
     )
     parser.add_argument(
-        "--core-engine",
-        choices=("v1", "v2"),
-        default=None,
-        help=(
-            "images/containment core for minimization work: v1 "
-            "(object/set) or v2 (flat bitset; the default). "
-            "Byte-identical results"
-        ),
-    )
-    parser.add_argument(
         "--strategy",
         choices=STRATEGIES,
         default="pipeline",
@@ -248,7 +238,6 @@ async def _serve(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         jobs=args.jobs,
         oracle_cache=False if args.no_oracle_cache else None,
-        core_engine=args.core_engine,
         watchdog=args.watchdog,
         fault_plan=(
             _parse_fault_plan(args.fault_plan) if args.fault_plan else None

@@ -110,6 +110,24 @@ SHARD_POLICIES = ("affinity", "overflow", "round-robin")
 _SENDER_STOP = object()
 
 
+def _worker_context():
+    """The multiprocessing context every shard (and respawn) starts from.
+
+    Never ``fork``: by the time a shard starts, the manager process runs
+    threads (the store's write-behind thread, each live shard's sender
+    and reader), and a forked child inherits any lock one of them holds
+    at that instant, then blocks on it forever. ``forkserver`` forks
+    from a single-threaded server instead, preloaded with the worker
+    module so a new shard skips the package import; ``spawn`` is the
+    fallback where ``forkserver`` is unavailable.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([shard_worker_main.__module__])
+    return context
+
+
 def resolve_shards(value, *, cpu_count: Optional[int] = None) -> int:
     """Resolve a ``--shards`` argument to a worker-process count.
 
@@ -349,9 +367,7 @@ class ShardManager:
         self._started = False
         self._closing = False
         self._restart_lock: Optional[asyncio.Lock] = None
-        self._mp_context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
+        self._mp_context = _worker_context()
         self._last_worker_stats: "list[ServiceStats]" = []
 
     # ------------------------------------------------------------------

@@ -85,15 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="matching engine (pathstack requires linear queries)",
     )
     parser.add_argument(
-        "--core-engine",
-        choices=("v1", "v2"),
-        default=None,
-        help=(
-            "images/containment core for --minimize: v1 (object/set) or "
-            "v2 (flat bitset; the default). Byte-identical results"
-        ),
-    )
-    parser.add_argument(
         "-c", "--constraints", default=None, help="';'-separated integrity constraints"
     )
     parser.add_argument(
@@ -183,7 +174,6 @@ def main(argv: list[str] | None = None) -> int:
             engine=args.engine,
             jobs=args.jobs,
             oracle_cache=False if args.no_oracle_cache else None,
-            core_engine=args.core_engine,
         )
         with Session(options, constraints=constraints) as session:
             minimized_results = None

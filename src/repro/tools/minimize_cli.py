@@ -93,16 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--engine",
-        choices=("v1", "v2"),
-        default=None,
-        help=(
-            "core images/containment engine: v1 (object/set) or v2 (flat "
-            "bitset; the default). Results are byte-identical; default "
-            "follows REPRO_CORE_ENGINE"
-        ),
-    )
-    parser.add_argument(
         "-c",
         "--constraints",
         default=None,
@@ -186,7 +176,6 @@ def _session_options(args) -> MinimizeOptions:
     return MinimizeOptions(
         jobs=args.jobs,
         oracle_cache=False if args.no_oracle_cache else None,
-        core_engine=args.engine,
         certify=args.certify,
     )
 
@@ -276,7 +265,7 @@ def _run_single(args, constraints) -> int:
         # run outside the pipeline; the session's cache scope still
         # applies through the re-entrant guard in main().
         if args.algorithm == "cim":
-            run = cim_minimize(query, core_engine=args.engine)
+            run = cim_minimize(query)
             eliminated = list(run.eliminated)
             explain_lines = [f"removed node #{i} ({t}) [CIM]" for i, t in run.eliminated]
         elif args.algorithm == "cdm":
@@ -287,7 +276,7 @@ def _run_single(args, constraints) -> int:
                 for i, t, rule in run.eliminated
             ]
         else:  # acim
-            run = acim_minimize(query, constraints, core_engine=args.engine)
+            run = acim_minimize(query, constraints)
             eliminated = list(run.eliminated)
             explain_lines = [f"removed node #{i} ({t}) [ACIM]" for i, t in run.eliminated]
         result = QueryResult(

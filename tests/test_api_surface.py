@@ -65,7 +65,6 @@ def test_session_api_is_exported():
     fields = {f.name for f in dataclasses.fields(repro.MinimizeOptions)}
     assert fields == {
         "engine",
-        "incremental",
         "oracle_cache",
         "jobs",
         "strategy",
@@ -75,7 +74,6 @@ def test_session_api_is_exported():
         "verify",
         "watchdog",
         "fault_plan",
-        "core_engine",
         "store_path",
         "certify",
         "audit_rate",

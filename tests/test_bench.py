@@ -287,47 +287,6 @@ class TestBenchOracleCache:
         assert isinstance(summary["meets_target"], bool)
 
 
-class TestBenchCoreV2:
-    """Schema smoke test for BENCH_core_v2.json (fast grid)."""
-
-    def test_fast_run_writes_valid_schema(self, tmp_path):
-        bc = _load_bench_script("bench_core_v2")
-        out = tmp_path / "BENCH_core_v2.json"
-        bc.main(["--fast", "--repeat", "1", "--out", str(out)])
-        payload = json.loads(out.read_text())
-
-        assert payload["benchmark"] == "core_v2"
-        assert payload["schema_version"] == bc.SCHEMA_VERSION
-        assert payload["fast"] is True
-
-        workloads = payload["workloads"]
-        assert {r["workload"] for r in workloads} == {
-            "fig8-right-deep",
-            "fig8-bushy",
-        }
-        for row in workloads:
-            assert row["v1_seconds"] >= 0
-            assert row["v2_seconds"] >= 0
-            assert row["speedup_vs_v1"] > 0
-            assert row["identical"] is True
-
-        containment = payload["containment"]
-        assert containment["identical"] is True
-        assert containment["source_size"] > containment["target_size"]
-
-        pick = payload["pickle"]
-        assert pick["flat_bytes"] < pick["legacy_bytes"]
-        assert pick["shrink_factor"] > 1.0
-
-        summary = payload["summary"]
-        assert summary["all_identical"] is True
-        assert summary["fig8_largest_size"] == max(
-            r["size"] for r in workloads if r["workload"] == "fig8-right-deep"
-        )
-        assert summary["max_speedup"] >= summary["speedup_vs_v1"] > 0
-        assert isinstance(summary["meets_target"], bool)
-
-
 class TestBenchService:
     """Schema smoke test for BENCH_service.json (fast stream)."""
 

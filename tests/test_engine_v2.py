@@ -1,30 +1,33 @@
-"""Differential tests for the flat (v2) core engine.
+"""Tests for the flat minimization core (``repro.core.engine_v2``).
 
-The v2 engine (``repro.core.engine_v2``) re-implements the images engine
-and the containment DP over flat preorder arrays and bitset rows. Its
-contract is **byte-for-byte equality with v1**: same minimized patterns,
-same elimination order, same witnesses, same integer counters — for
-every driver (CIM, ACIM, CDM, the pipeline, the batch backend, the
-serving layer). These tests pin that contract on 400+ seeded workloads
-plus hypothesis-generated ones, and additionally cover the flat
-building blocks: FlatPattern round-trips, canonical subtree keys,
-bitset helpers, flat pickling, and incremental ``delete_leaf``.
+The flat core runs the images engine and the containment DP over flat
+preorder arrays and bitset rows. Before it became the only core it was
+pinned byte-for-byte against the object engine it replaced; that engine's
+outputs on the seeded differential workloads are frozen in
+``tests/fixtures/core_v1_reference.json`` (minimized patterns, elimination
+orders, witnesses, virtual-target counts) and :class:`TestDifferentialSeeded`
+checks that the flat core still reproduces every record. The containment
+DP is checked against the definition-level recursion of the independent
+certificate checker. The flat building blocks are covered directly:
+FlatPattern round-trips, canonical subtree keys, bitset helpers, flat
+pickling, and incremental ``delete_leaf``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import copy
-import os
+import io
+import json
 import pickle
 import random
-import subprocess
-import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import MinimizeOptions, Session
+from repro.certify import check_oracle_table
 from repro.constraints.model import (
     co_occurrence,
     parse_constraints,
@@ -32,27 +35,18 @@ from repro.constraints.model import (
     required_descendant,
 )
 from repro.core.acim import acim_minimize
-from repro.core.cdm import cdm_minimize
 from repro.core.cim import cim_minimize, is_minimal
-from repro.core.containment import ContainmentStats, mapping_targets
+from repro.core.containment import mapping_targets
 from repro.core.edges import EdgeKind
-from repro.core.engine_config import (
-    CORE_ENGINES,
-    core_engine_scope,
-    resolve_core_engine,
-)
 from repro.core.engine_v2 import (
     FlatImagesEngine,
     FlatPattern,
     bits_to_ids,
-    flat_pickle,
-    flat_pickle_enabled,
     ids_to_bits,
     iter_slots,
     pattern_from_flat,
 )
 from repro.core.fingerprint import subtree_keys
-from repro.core.images import ImagesEngine, ImagesStats, create_images_engine
 from repro.core.pattern import TreePattern
 from repro.core.pipeline import minimize
 from repro.errors import InvalidPatternError
@@ -67,6 +61,8 @@ from repro.workloads import (
 )
 
 TYPES = ["a", "b", "c", "d"]
+
+REFERENCE_PATH = Path(__file__).parent / "fixtures" / "core_v1_reference.json"
 
 
 def _random_constraints(rng: random.Random, types=TYPES):
@@ -96,115 +92,120 @@ def _workload(seed: int) -> tuple[TreePattern, list]:
     return query, _random_constraints(rng)
 
 
-def _cim_record(pattern, engine, **kw):
-    stats = ImagesStats()
-    result = cim_minimize(
-        pattern, collect_witnesses=True, stats=stats, core_engine=engine, **kw
-    )
-    return (
-        to_sexpr(result.pattern),
-        result.eliminated,
-        result.witnesses,
-        stats.counters(),
-    )
+def _as_json(record: dict) -> dict:
+    """The record as it reads back from JSON (tuples become lists, int
+    dict keys become strings), so it compares equal to the fixture."""
+    return json.loads(json.dumps(record))
 
 
-def _acim_record(pattern, ics, engine, **kw):
-    result = acim_minimize(
-        pattern, ics, collect_witnesses=True, core_engine=engine, **kw
-    )
-    return (
-        to_sexpr(result.pattern),
-        result.eliminated,
-        result.witnesses,
-        result.images_stats.counters(),
-        result.virtual_count,
+def _cim_record(pattern, **kw) -> dict:
+    result = cim_minimize(pattern, collect_witnesses=True, **kw)
+    return _as_json(
+        {
+            "pattern": to_sexpr(result.pattern),
+            "eliminated": result.eliminated,
+            "witnesses": result.witnesses,
+        }
     )
 
 
-def _pipeline_record(pattern, ics, engine):
-    result = minimize(pattern, ics, collect_witnesses=True, core_engine=engine)
-    cdm = [] if result.cdm is None else result.cdm.eliminated
-    acim = ([], {}, {})
-    if result.acim is not None:
-        acim = (
-            result.acim.eliminated,
-            result.acim.witnesses,
-            result.acim.images_stats.counters(),
-        )
-    return (to_sexpr(result.pattern), cdm, acim)
+def _acim_record(pattern, ics, **kw) -> dict:
+    result = acim_minimize(pattern, ics, collect_witnesses=True, **kw)
+    return _as_json(
+        {
+            "pattern": to_sexpr(result.pattern),
+            "eliminated": result.eliminated,
+            "witnesses": result.witnesses,
+            "virtual_count": result.virtual_count,
+        }
+    )
+
+
+def _pipeline_record(pattern, ics) -> dict:
+    result = minimize(pattern, ics, collect_witnesses=True)
+    acim = result.acim
+    return _as_json(
+        {
+            "pattern": to_sexpr(result.pattern),
+            "cdm_eliminated": [] if result.cdm is None else result.cdm.eliminated,
+            "eliminated": [] if acim is None else acim.eliminated,
+            "witnesses": {} if acim is None else acim.witnesses,
+            "virtual_count": 0 if acim is None else acim.virtual_count,
+        }
+    )
+
+
+def _is_minimal_record(pattern) -> dict:
+    return {"minimal": is_minimal(pattern)}
+
+
+#: Fixture section -> (seeds, record builder for one seed).
+REFERENCE_KINDS = {
+    "cim": (range(110), lambda seed: _cim_record(_workload(seed)[0])),
+    "acim": (range(110), lambda seed: _acim_record(*_workload(seed))),
+    "pipeline": (range(110), lambda seed: _pipeline_record(*_workload(seed))),
+    "is_minimal": (range(110), lambda seed: _is_minimal_record(_workload(seed)[0])),
+    "cim_seeded_order": (
+        range(40),
+        lambda seed: _cim_record(_workload(seed)[0], seed=seed),
+    ),
+    "acim_from_scratch": (
+        range(40),
+        lambda seed: _acim_record(*_workload(seed), incremental=False),
+    ),
+    "acim_memo_free": (
+        range(40),
+        lambda seed: _acim_record(*_workload(seed), oracle_cache=False),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def reference() -> dict:
+    with REFERENCE_PATH.open(encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 class TestDifferentialSeeded:
-    """v2 == v1, byte for byte, across 400+ seeded workloads.
+    """The flat core reproduces the object engine's frozen outputs.
 
-    Every seed drives four drivers (CIM, ACIM, the full pipeline, CDM
-    under both engine scopes), so 110 seeds are 440 differential
-    workload runs — on top of the hypothesis suites below.
+    Seeds 0–109 drive CIM, ACIM, the full pipeline and ``is_minimal``;
+    seeds 0–39 drive the seeded elimination order and the from-scratch
+    and memo-free ACIM baselines — 560 records in all. Integer counters
+    are not frozen: they describe cache tiers, not results.
     """
 
-    SEEDS = range(110)
+    def _check(self, reference, kind):
+        seeds, build = REFERENCE_KINDS[kind]
+        frozen = reference["records"][kind]
+        assert len(frozen) == len(seeds)
+        for seed in seeds:
+            assert build(seed) == frozen[seed], (kind, seed)
 
-    def test_cim_matches(self):
-        for seed in self.SEEDS:
-            query, _ = _workload(seed)
-            assert _cim_record(query, "v1") == _cim_record(query, "v2"), seed
+    def test_reference_covers_every_kind(self, reference):
+        assert reference["commit"]
+        assert set(reference["records"]) == set(REFERENCE_KINDS)
 
-    def test_acim_matches(self):
-        for seed in self.SEEDS:
-            query, ics = _workload(seed)
-            assert _acim_record(query, ics, "v1") == _acim_record(
-                query, ics, "v2"
-            ), seed
+    def test_cim_matches(self, reference):
+        self._check(reference, "cim")
 
-    def test_pipeline_matches(self):
-        for seed in self.SEEDS:
-            query, ics = _workload(seed)
-            assert _pipeline_record(query, ics, "v1") == _pipeline_record(
-                query, ics, "v2"
-            ), seed
+    def test_acim_matches(self, reference):
+        self._check(reference, "acim")
 
-    def test_cdm_matches(self):
-        # CDM never touches the images engine, but the scope must not
-        # perturb it either way.
-        for seed in self.SEEDS:
-            query, ics = _workload(seed)
-            records = []
-            for engine in CORE_ENGINES:
-                with core_engine_scope(engine):
-                    run = cdm_minimize(query, ics)
-                records.append((to_sexpr(run.pattern), run.eliminated, run.rule_counts))
-            assert records[0] == records[1], seed
+    def test_pipeline_matches(self, reference):
+        self._check(reference, "pipeline")
 
-    def test_cim_seeded_order_matches(self):
-        """The seeded-random elimination order visits leaves identically
-        in both engines (same rng consumption, same min-id tie-breaks)."""
-        for seed in range(40):
-            query, _ = _workload(seed)
-            assert _cim_record(query, "v1", seed=seed) == _cim_record(
-                query, "v2", seed=seed
-            ), seed
+    def test_is_minimal_matches(self, reference):
+        self._check(reference, "is_minimal")
 
-    def test_from_scratch_baseline_matches(self):
-        for seed in range(40):
-            query, ics = _workload(seed)
-            assert _acim_record(query, ics, "v1", incremental=False) == _acim_record(
-                query, ics, "v2", incremental=False
-            ), seed
+    def test_cim_seeded_order_matches(self, reference):
+        self._check(reference, "cim_seeded_order")
 
-    def test_memo_free_baseline_matches(self):
-        for seed in range(40):
-            query, ics = _workload(seed)
-            assert _acim_record(query, ics, "v1", oracle_cache=False) == _acim_record(
-                query, ics, "v2", oracle_cache=False
-            ), seed
+    def test_from_scratch_baseline_matches(self, reference):
+        self._check(reference, "acim_from_scratch")
 
-    def test_is_minimal_matches(self):
-        for seed in self.SEEDS:
-            query, _ = _workload(seed)
-            assert is_minimal(query, core_engine="v1") == is_minimal(
-                query, core_engine="v2"
-            ), seed
+    def test_memo_free_baseline_matches(self, reference):
+        self._check(reference, "acim_memo_free")
 
 
 @st.composite
@@ -223,27 +224,12 @@ def patterns(draw, max_size: int = 9) -> TreePattern:
 
 class TestDifferentialHypothesis:
     @settings(max_examples=60, deadline=None)
-    @given(patterns())
-    def test_cim_matches(self, pattern):
-        assert _cim_record(pattern, "v1") == _cim_record(pattern, "v2")
-
-    @settings(max_examples=60, deadline=None)
-    @given(patterns(), st.integers(min_value=0, max_value=10_000))
-    def test_acim_matches(self, pattern, ic_seed):
-        ics = _random_constraints(random.Random(ic_seed))
-        assert _acim_record(pattern, ics, "v1") == _acim_record(pattern, ics, "v2")
-
-    @settings(max_examples=60, deadline=None)
     @given(patterns(), patterns())
     def test_mapping_targets_matches(self, source, target):
-        records = []
-        for engine in CORE_ENGINES:
-            stats = ContainmentStats()
-            table = mapping_targets(
-                source, target, stats=stats, cache=None, engine=engine
-            )
-            records.append((table, stats.counters()))
-        assert records[0] == records[1]
+        """The bitset DP equals the checker's definition-level recursion
+        on the full (source node, target node) relation."""
+        table = mapping_targets(source, target, cache=None)
+        assert check_oracle_table(source, target, table)
 
 
 class TestFlatPattern:
@@ -306,30 +292,33 @@ class TestFlatPattern:
         )
 
 
+def _object_graph_pickle(pattern: TreePattern) -> bytes:
+    """Pickle ``pattern`` as its plain object graph, bypassing the flat
+    ``__reduce_ex__`` (the size the flat form is compared against)."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer)
+    pickler.dispatch_table = {TreePattern: lambda p: object.__reduce_ex__(p, 2)}
+    pickler.dump(pattern)
+    return buffer.getvalue()
+
+
 class TestFlatPickle:
-    def test_flat_pickle_is_default_and_round_trips(self):
-        assert flat_pickle_enabled()
+    def test_pickle_round_trips_through_flat_form(self):
         for seed in range(20):
             rng = random.Random(seed)
             pattern = random_query(rng.randint(1, 20), types=TYPES, rng=rng)
+            reducer, args = pattern.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+            assert reducer is pattern_from_flat
+            assert isinstance(args[0], FlatPattern)
             back = pickle.loads(pickle.dumps(pattern))
             assert to_sexpr(back) == to_sexpr(pattern)
             assert [n.id for n in back.nodes()] == [n.id for n in pattern.nodes()]
 
-    def test_legacy_pickle_still_round_trips(self):
-        pattern = parse_xpath("a/b[c][.//d]")
-        with flat_pickle(False):
-            assert not flat_pickle_enabled()
-            blob = pickle.dumps(pattern)
-        assert flat_pickle_enabled()
-        assert to_sexpr(pickle.loads(blob)) == to_sexpr(pattern)
-
     def test_flat_blob_is_smaller(self):
         pattern = chain_query(120)
         flat = pickle.dumps(pattern)
-        with flat_pickle(False):
-            legacy = pickle.dumps(pattern)
-        assert len(flat) < len(legacy) / 2, (len(flat), len(legacy))
+        graph = _object_graph_pickle(pattern)
+        assert len(flat) < len(graph) / 2, (len(flat), len(graph))
 
     def test_deepcopy_goes_through_flat_path(self):
         pattern = parse_xpath("a/b[c][c/d]")
@@ -425,63 +414,10 @@ class TestFlatDeleteLeaf:
         assert engine.virtual == ()
 
 
-class TestEngineConfig:
-    def test_default_is_v2(self):
-        assert resolve_core_engine(None) in CORE_ENGINES
-        assert resolve_core_engine("v1") == "v1"
-        assert resolve_core_engine("v2") == "v2"
-
-    def test_explicit_beats_scope(self):
-        with core_engine_scope("v1"):
-            assert resolve_core_engine(None) == "v1"
-            assert resolve_core_engine("v2") == "v2"
-        with core_engine_scope("v2"):
-            with core_engine_scope("v1"):
-                assert resolve_core_engine(None) == "v1"
-            assert resolve_core_engine(None) == "v2"
-
-    def test_scope_none_is_noop(self):
-        before = resolve_core_engine(None)
-        with core_engine_scope(None):
-            assert resolve_core_engine(None) == before
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_core_engine("v3")
-        with pytest.raises(ValueError):
-            with core_engine_scope("bogus"):
-                pass
-
-    def test_env_var_controls_process_default(self):
-        for engine in CORE_ENGINES:
-            env = dict(os.environ, REPRO_CORE_ENGINE=engine)
-            env["PYTHONPATH"] = "src"
-            out = subprocess.run(
-                [
-                    sys.executable,
-                    "-c",
-                    "from repro.core.engine_config import resolve_core_engine;"
-                    "print(resolve_core_engine(None))",
-                ],
-                capture_output=True,
-                text=True,
-                env=env,
-                cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            )
-            assert out.stdout.strip() == engine, out.stderr
-
-    def test_factory_dispatches(self):
-        pattern = parse_xpath("a/b[c]")
-        assert isinstance(create_images_engine(pattern, engine="v1"), ImagesEngine)
-        assert isinstance(create_images_engine(pattern, engine="v2"), FlatImagesEngine)
-
-    def test_options_validate_core_engine(self):
-        assert MinimizeOptions(core_engine="v1").core_engine == "v1"
-        with pytest.raises(ValueError):
-            MinimizeOptions(core_engine="v9")
-
-
 class TestBatchAndSessionDifferential:
+    """The batch, session and service paths serve exactly what the
+    direct pipeline computes, replays of isomorphic twins included."""
+
     CONSTRAINTS = parse_constraints("a -> b; b ->> c; a ~ c")
 
     def _queries(self, n=24, seed=5):
@@ -494,39 +430,33 @@ class TestBatchAndSessionDifferential:
                 out.append(isomorphic_shuffle(base, rng=rng))
         return out
 
-    def _session_record(self, engine, queries):
-        with Session(
-            MinimizeOptions(core_engine=engine), constraints=self.CONSTRAINTS
-        ) as session:
-            results = session.minimize_many(queries)
-        records = []
-        for r in results:
-            payload = r.to_json()
-            payload.pop("timings")
-            records.append(payload)
-        return records
+    def _direct(self, queries):
+        return [
+            (to_sexpr(run.pattern), run.removed_count)
+            for run in (minimize(q, self.CONSTRAINTS) for q in queries)
+        ]
 
     def test_session_batch_matches(self):
         queries = self._queries()
-        assert self._session_record("v1", queries) == self._session_record(
-            "v2", queries
-        )
+        with Session(MinimizeOptions(), constraints=self.CONSTRAINTS) as session:
+            results = session.minimize_many(queries)
+        assert [
+            (to_sexpr(r.pattern), r.removed_count) for r in results
+        ] == self._direct(queries)
 
     def test_service_matches(self):
         queries = self._queries(n=16, seed=9)
 
-        def serve(engine):
-            async def scenario():
-                async with MinimizationService(
-                    MinimizeOptions(core_engine=engine),
-                    constraints=self.CONSTRAINTS,
-                ) as service:
-                    return await service.submit_many(queries)
+        async def scenario():
+            async with MinimizationService(
+                MinimizeOptions(), constraints=self.CONSTRAINTS
+            ) as service:
+                return await service.submit_many(queries)
 
-            results = asyncio.run(scenario())
-            return [(to_sexpr(r.pattern), r.eliminated) for r in results]
-
-        assert serve("v1") == serve("v2")
+        results = asyncio.run(scenario())
+        assert [
+            (to_sexpr(r.pattern), r.removed_count) for r in results
+        ] == self._direct(queries)
 
 
 class TestJobsAuto:

@@ -2,12 +2,12 @@
 
 Three layers:
 
-* unit tests for :meth:`AncestorTable.delete_leaf`, the frozen table
-  views, and :meth:`ImagesEngine.delete_leaf` bookkeeping;
+* unit tests for :meth:`FlatImagesEngine.delete_leaf` bookkeeping;
 * a hypothesis property: after any legal sequence of tracked deletions,
-  the engine's tables, type index, and redundancy answers are identical
-  to a freshly built engine — across random patterns, virtual targets,
-  and pair filters;
+  the engine's live tables (relation rows and type index masked by the
+  live set), virtual targets, and redundancy answers are identical to a
+  freshly built engine — across random patterns, virtual targets, and
+  pair filters;
 * differential tests pinning the incremental drivers (``cim_minimize``,
   ``acim_minimize``, seeded elimination orders) to the from-scratch
   ``incremental=False`` baseline on 200+ seeded random workloads, with
@@ -27,21 +27,13 @@ from repro.core.bruteforce import exhaustive_minimize
 from repro.core.chase import augmentation_targets
 from repro.core.cim_naive import cim_minimize_naive
 from repro.core.edges import EdgeKind
-from repro.core.images import AncestorTable, ImagesEngine, ImagesStats, VirtualTarget
+from repro.core.engine_v2 import FlatImagesEngine
+from repro.core.images import ImagesStats, VirtualTarget
 from repro.errors import InvalidPatternError
 from repro.workloads.icgen import relevant_constraints
 from repro.workloads.querygen import duplicate_random_branch, random_query
 
 TYPES = ["a", "b", "c"]
-
-
-def chain(*types: str) -> TreePattern:
-    pattern = TreePattern(types[0])
-    node = pattern.root
-    for t in types[1:]:
-        node = pattern.add_child(node, t, EdgeKind.CHILD)
-    node.is_output = True
-    return pattern
 
 
 def fanout(root_type: str, *child_types: str) -> TreePattern:
@@ -53,74 +45,32 @@ def fanout(root_type: str, *child_types: str) -> TreePattern:
     return pattern
 
 
-# ---------------------------------------------------------------------------
-# AncestorTable: frozen views + incremental row deletion
-# ---------------------------------------------------------------------------
+def live_ids(engine: FlatImagesEngine) -> set[int]:
+    """Ids of the targets (real and virtual) the engine still holds."""
+    return engine.row_ids(engine._live)
 
 
-class TestAncestorTableViews:
-    def test_views_are_frozen(self):
-        pattern = chain("a", "b", "c")
-        table = AncestorTable(pattern)
-        kids = table.c_children_of(pattern.root.id)
-        below = table.descendants_of(pattern.root.id)
-        assert isinstance(kids, frozenset)
-        assert isinstance(below, frozenset)
+def live_tables(engine: FlatImagesEngine) -> dict:
+    """The relation rows and type index as id sets over live targets.
 
-    def test_mutating_a_view_does_not_corrupt_the_table(self):
-        # Regression: these used to hand out the internal mutable sets, so
-        # a caller's discard() silently broke the relation.
-        pattern = chain("a", "b", "c")
-        table = AncestorTable(pattern)
-        b = pattern.root.children[0]
-        view = set(table.c_children_of(pattern.root.id))
-        view.discard(b.id)
-        assert b.id in table.c_children_of(pattern.root.id)
-        assert table.is_c_child(b.id, pattern.root.id)
-
-
-class TestAncestorTableDeleteLeaf:
-    def test_removes_row_and_ancestor_entries(self):
-        pattern = chain("a", "b", "c")
-        table = AncestorTable(pattern)
-        leaf = next(iter(pattern.leaves()))
-        table.delete_leaf(leaf.id)
-        assert not table.has_row(leaf.id)
-        for node in pattern.nodes():
-            assert leaf.id not in table.descendants_of(node.id)
-            assert leaf.id not in table.c_children_of(node.id)
-
-    def test_unknown_id_rejected(self):
-        table = AncestorTable(chain("a", "b"))
-        with pytest.raises(InvalidPatternError):
-            table.delete_leaf(999)
-
-    def test_internal_node_rejected(self):
-        pattern = chain("a", "b", "c")
-        table = AncestorTable(pattern)
-        with pytest.raises(InvalidPatternError):
-            table.delete_leaf(pattern.root.id)
-
-    def test_virtual_target_row_deletable(self):
-        pattern = chain("a", "b")
-        vt = VirtualTarget(-1, "c", pattern.root.id, EdgeKind.CHILD)
-        table = AncestorTable(pattern, [vt])
-        assert table.is_c_child(-1, pattern.root.id)
-        table.delete_leaf(-1)
-        assert not table.has_row(-1)
-        assert not table.is_c_child(-1, pattern.root.id)
-
-    def test_anchor_with_virtual_descendants_rejected(self):
-        pattern = chain("a", "b")
-        b = pattern.root.children[0]
-        vt = VirtualTarget(-1, "c", b.id, EdgeKind.DESCENDANT)
-        table = AncestorTable(pattern, [vt])
-        with pytest.raises(InvalidPatternError):
-            table.delete_leaf(b.id)  # the virtual row must go first
+    The engine never rewrites these tables on deletion — it clears bits
+    from its ``live`` mask and masks every row at use — so the tables
+    are compared through that mask.
+    """
+    live = engine._live
+    rows = engine.row_ids
+    slots = {node_id: slot for node_id, slot in engine._slot_of.items() if live >> slot & 1}
+    return {
+        "c_children": {i: rows(engine._cc[s] & live) for i, s in slots.items()},
+        "descendants": {i: rows(engine._desc[s] & live) for i, s in slots.items()},
+        "types": {
+            t: rows(bits & live) for t, bits in engine._type_bits.items() if bits & live
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
-# ImagesEngine.delete_leaf bookkeeping
+# FlatImagesEngine.delete_leaf bookkeeping
 # ---------------------------------------------------------------------------
 
 
@@ -136,14 +86,14 @@ class TestEngineDeleteLeaf:
             VirtualTarget(-2, "y", c.id, EdgeKind.DESCENDANT),
             VirtualTarget(-3, "x", b.id, EdgeKind.CHILD),
         ]
-        engine = ImagesEngine(pattern, virtual)
+        engine = FlatImagesEngine(pattern, virtual)
         pattern.delete_leaf(c)
         dropped = engine.delete_leaf(c)
         assert {vt.id for vt in dropped} == {-1, -2}
         assert {vt.id for vt in engine.virtual} == {-3}
-        assert not engine.ancestors.has_row(c.id)
-        assert not engine.ancestors.has_row(-1)
-        assert engine.ancestors.has_row(-3)
+        assert live_ids(engine) == {pattern.root.id, b.id, -3}
+        with pytest.raises(InvalidPatternError):
+            engine.delete_leaf(c)  # its row is gone
 
     def test_counters_attribute_build_vs_delete(self):
         pattern = fanout("a", "b", "b", "b")
@@ -212,13 +162,11 @@ def _delete_random_leaves(draw, query, engine, rounds: int) -> None:
         engine.delete_leaf(leaf)
 
 
-def _assert_engines_agree(incremental: ImagesEngine, fresh: ImagesEngine, query) -> None:
-    assert incremental.ancestors._ancestors == fresh.ancestors._ancestors
-    assert incremental.ancestors._c_children == fresh.ancestors._c_children
-    assert incremental.ancestors._descendants == fresh.ancestors._descendants
-    # The incremental engine keeps (now empty) buckets for extinct types.
-    pruned = {t: ids for t, ids in incremental._by_type.items() if ids}
-    assert pruned == {t: ids for t, ids in fresh._by_type.items() if ids}
+def _assert_engines_agree(
+    incremental: FlatImagesEngine, fresh: FlatImagesEngine, query
+) -> None:
+    assert live_ids(incremental) == live_ids(fresh)
+    assert live_tables(incremental) == live_tables(fresh)
     assert incremental.virtual == fresh.virtual
     for leaf in query.leaves():
         if leaf.is_root or leaf.is_output:
@@ -231,14 +179,14 @@ def _assert_engines_agree(incremental: ImagesEngine, fresh: ImagesEngine, query)
 @given(st.data())
 def test_engine_after_deletions_equals_fresh_engine(data):
     query = data.draw(patterns())
-    engine = ImagesEngine(query)
+    engine = FlatImagesEngine(query)
     # Warm the memoized base sets before mutating, so the subtracted
     # cached sets (not just freshly computed ones) are what's compared.
     for leaf in list(query.leaves()):
         if not leaf.is_root and not leaf.is_output:
             engine.is_redundant_leaf(leaf)
     _delete_random_leaves(data.draw, query, engine, rounds=4)
-    _assert_engines_agree(engine, ImagesEngine(query), query)
+    _assert_engines_agree(engine, FlatImagesEngine(query), query)
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,10 +207,10 @@ def test_engine_with_virtual_targets_equals_fresh_engine(data):
     for node_id, types in extra_types.items():
         for t in sorted(types):
             query.add_extra_type(query.node(node_id), t)
-    engine = ImagesEngine(query, virtual)
+    engine = FlatImagesEngine(query, virtual)
     _delete_random_leaves(data.draw, query, engine, rounds=3)
     survivors = [vt for vt in virtual if query.has_node(vt.parent_id)]
-    _assert_engines_agree(engine, ImagesEngine(query, survivors), query)
+    _assert_engines_agree(engine, FlatImagesEngine(query, survivors), query)
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,13 +222,13 @@ def test_engine_with_pair_filter_equals_fresh_engine(data):
     def pair_filter(source_id: int, target_id: int) -> bool:
         return (source_id * 31 + target_id + salt) % 4 != 0
 
-    engine = ImagesEngine(query, pair_filter=pair_filter)
+    engine = FlatImagesEngine(query, pair_filter=pair_filter)
     for leaf in list(query.leaves()):
         if not leaf.is_root and not leaf.is_output:
             engine.is_redundant_leaf(leaf)
     _delete_random_leaves(data.draw, query, engine, rounds=3)
     _assert_engines_agree(
-        engine, ImagesEngine(query, pair_filter=pair_filter), query
+        engine, FlatImagesEngine(query, pair_filter=pair_filter), query
     )
 
 
@@ -365,15 +313,14 @@ class TestNestedVirtualTargets:
             VirtualTarget(-3, "z", -2, EdgeKind.DESCENDANT),
             VirtualTarget(-4, "x", pattern.root.id, EdgeKind.CHILD),
         ]
-        engine = ImagesEngine(pattern, virtual)
-        assert engine.ancestors.is_descendant(-3, b.id)
+        engine = FlatImagesEngine(pattern, virtual)
+        assert -3 in live_tables(engine)["descendants"][b.id]
         pattern.delete_leaf(b)
         dropped = engine.delete_leaf(b)
         assert [vt.id for vt in dropped] == [-1, -2, -3]
         assert [vt.id for vt in engine.virtual] == [-4]
-        for vid in (-1, -2, -3):
-            assert not engine.ancestors.has_row(vid)
-        assert engine.ancestors.has_row(-4)
+        assert live_ids(engine).isdisjoint({-1, -2, -3})
+        assert -4 in live_ids(engine)
 
     def test_extra_types_make_virtual_reachable_by_other_types(self):
         pattern = TreePattern("a", root_is_output=True)
@@ -381,7 +328,7 @@ class TestNestedVirtualTargets:
         vt = VirtualTarget(
             -1, "b", pattern.root.id, EdgeKind.CHILD, extra_types=frozenset({"c"})
         )
-        engine = ImagesEngine(pattern, [vt])
+        engine = FlatImagesEngine(pattern, [vt])
         leaf = pattern.find("c")[0]
         # The c-leaf can map onto the b∧c witness, so it is redundant.
         assert engine.is_redundant_leaf(leaf)

@@ -343,3 +343,27 @@ def test_example_specs_validate():
     for path in sorted(pack.glob("*.json")):
         loaded = load_spec(path)
         assert loaded.events > 0
+
+
+#: The event digests recorded in BENCH_scenario.json for the shipped
+#: packs. Byte-identical results are the bar for every change to the
+#: minimization stack, and a digest covers every served answer of a
+#: replay, so a drift in any of them fails here.
+COMMITTED_DIGESTS = {
+    "steady-state.json": "95c477e4a39f47cff8da13a7f81b949e544d958cdd4b53544c666fc2ed189055",
+    "burst.json": "7ddf4ec6d4cda15a6bf5636bc44c0838e99146ae5770385051bc4874350be65b",
+    "churn-heavy.json": "78c7d53f31b4d19416111d7ce7bf03fc4e3d43d2d5f8853f6399b15b76704f5f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_DIGESTS))
+def test_committed_scenario_digests_reproduce(name):
+    from pathlib import Path
+
+    from repro.core.oracle_cache import reset_global_cache
+    from repro.scenario import load_spec, run_scenario
+
+    pack = Path(__file__).resolve().parent.parent / "docs" / "scenarios"
+    reset_global_cache()
+    report = run_scenario(load_spec(pack / name), target="session")
+    assert report.digest == COMMITTED_DIGESTS[name]

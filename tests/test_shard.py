@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -560,3 +561,38 @@ class TestShardStore:
             warm_counters = session.counters()
         assert warm == expected
         assert warm_counters["store_warm_loaded"] > 0
+
+    def test_fleet_starts_while_other_threads_run(self, tmp_path):
+        """A 2-shard fleet on a store starts and serves while a store
+        writer thread and another fleet's sender/reader threads run.
+
+        Forking workers from such a process can hand a child a lock some
+        thread held at the fork and hang it; shards must start from a
+        clean process instead. The deadline turns a hang into a failure.
+        """
+        from repro.store import PersistentStore
+
+        queries, constraints, expected = workload(24, distinct=6, seed=43)
+        busy_store = PersistentStore(str(tmp_path / "busy.db"))
+
+        async def scenario():
+            async with ShardManager(
+                MinimizeOptions(store_path=str(tmp_path / "first.db")),
+                constraints=constraints,
+                shards=2,
+            ) as first:
+                await first.submit_many(queries[:6])
+                assert threading.active_count() >= 6
+                async with ShardManager(
+                    MinimizeOptions(store_path=str(tmp_path / "second.db")),
+                    constraints=constraints,
+                    shards=2,
+                ) as second:
+                    assert second._mp_context.get_start_method() != "fork"
+                    return await second.submit_many(queries)
+
+        try:
+            results = run(asyncio.wait_for(scenario(), timeout=120))
+        finally:
+            busy_store.close()
+        assert sexprs(results) == expected
