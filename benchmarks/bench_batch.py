@@ -68,6 +68,13 @@ def _grid(fast: bool) -> tuple[int, int, int]:
     )
 
 
+def _minimize_all(constraints, options: MinimizeOptions, queries):
+    """One cold batch run: a fresh minimizer (closure, memo and, for
+    ``jobs > 1``, its worker pool), closed before it returns."""
+    with BatchMinimizer(constraints, options) as minimizer:
+        return minimizer.minimize_all(queries)
+
+
 def run_comparison(*, repeat: int = 3, fast: bool = False) -> dict:
     """Run the full comparison; return the ``BENCH_batch.json`` payload
     as a dict."""
@@ -84,10 +91,9 @@ def run_comparison(*, repeat: int = 3, fast: bool = False) -> dict:
         )
         batch_options = MinimizeOptions(jobs=target_jobs)
         batch_seconds = best_of(
-            lambda: BatchMinimizer(constraints, batch_options).minimize_all(queries),
-            repeat=repeat,
+            lambda: _minimize_all(constraints, batch_options, queries), repeat=repeat
         )
-        run = BatchMinimizer(constraints, batch_options).minimize_all(queries)
+        run = _minimize_all(constraints, batch_options, queries)
         # The backend must be a drop-in for the loop: identical minimal
         # patterns, in order, for every jobs setting.
         serial_patterns = [minimize(q, constraints).pattern for q in queries]
@@ -121,8 +127,7 @@ def run_comparison(*, repeat: int = 3, fast: bool = False) -> dict:
     for jobs in _SCALING_JOBS:
         scaling_options = MinimizeOptions(jobs=jobs, memoize=False)
         seconds = best_of(
-            lambda: BatchMinimizer(constraints, scaling_options).minimize_all(queries),
-            repeat=repeat,
+            lambda: _minimize_all(constraints, scaling_options, queries), repeat=repeat
         )
         scaling.append({"jobs": jobs, "seconds": seconds})
     base = scaling[0]["seconds"]
@@ -178,10 +183,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 # pytest-benchmark rows (same workloads, per-point timings)
 # ---------------------------------------------------------------------------
 
-try:  # pragma: no cover - optional dependency in script mode
-    import pytest
-except ImportError:  # pragma: no cover
-    pytest = None
+# Defined only when pytest collects this module: a script run, and every
+# pool worker that re-imports the script as its main module, skips the
+# pytest import.
+pytest = sys.modules.get("pytest")
 
 if pytest is not None:
 

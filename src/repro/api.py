@@ -15,7 +15,7 @@ that into a single configuration path:
   ``session.evaluate(...)``, ``session.equivalent(...)``. A session
   keeps one :class:`~repro.batch.minimizer.BatchMinimizer` per
   constraint repository, so repeated calls share the closed closure,
-  the fingerprint memo, and (when enabled) a warm worker pool;
+  the fingerprint memo, and (with ``jobs != 1``) a warm worker pool;
 * :class:`QueryResult` — the one result shape shared by the library,
   both CLIs' ``--json`` output, and the service protocol
   (:mod:`repro.service`), with :meth:`QueryResult.to_json`.
@@ -93,16 +93,12 @@ class MinimizeOptions:
     jobs:
         Worker processes for batch fan-out (``0`` = one per core;
         ``"auto"`` = one per core, but tiny workloads run serially to
-        skip pool spin-up).
+        skip pool spin-up). A pool is built on the first batch that
+        needs one and lives until the session closes.
     strategy:
         One of :data:`STRATEGIES`.
     memoize:
         Replay isomorphic duplicates from the fingerprint memo.
-    chunksize:
-        Payloads per pool task (``None`` = auto).
-    persistent_pool:
-        Keep the worker pool alive across batches (the serving layer's
-        keep-warm mode) instead of spawning one per call.
     verify:
         Re-prove ``input ≡ minimized`` under the constraints for every
         result served (paranoid mode; raises
@@ -153,8 +149,6 @@ class MinimizeOptions:
     jobs: Union[int, str] = 1
     strategy: str = "pipeline"
     memoize: bool = True
-    chunksize: Optional[int] = None
-    persistent_pool: bool = False
     verify: bool = False
     watchdog: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
@@ -449,7 +443,7 @@ class Session:
     (:class:`MinimizeOptions`) and amortizes shared state across calls:
     constraint closures are computed once per repository, the
     fingerprint memo and containment-oracle caches persist, and (with
-    ``persistent_pool=True``) worker processes stay warm. The service
+    ``jobs != 1``) worker processes stay warm. The service
     layer (:class:`repro.service.MinimizationService`), both CLIs, and
     library callers all configure the stack exclusively through here.
 
@@ -485,6 +479,9 @@ class Session:
             )
         self._default_constraints = constraints
         self._minimizers: dict[tuple, "BatchMinimizer"] = {}
+        #: The minimizer of the session-default constraints, resolved once
+        #: per constraint epoch (:meth:`_minimizer_for`).
+        self._default: Optional["BatchMinimizer"] = None
         self._counters: dict[str, float] = {}
         self._store_counters: dict[str, float] = {}
         self._closed = False
@@ -614,7 +611,6 @@ class Session:
             database,
             engine=self.options.engine,
             jobs=self.options.jobs,
-            chunksize=self.options.chunksize,
         )
 
     def equivalent(
@@ -629,8 +625,7 @@ class Session:
         sampling auditor: every ``audit_rate``-th one (all of them under
         ``certify=True``) is re-proven with the full two-pass DP instead
         of being exempt from auditing."""
-        constraints = repo if repo is not None else self._default_constraints
-        repository = coerce_repository(constraints)
+        repository = self._minimizer_for(repo).repository  # closed once
         with self._cache_scope():
             if len(repository):
                 return _equivalent_under(q1, q2, repository)
@@ -804,7 +799,6 @@ class Session:
         adds = _coerce_constraint_list(add)
         drops = _coerce_constraint_list(drop)
         minimizer = self._minimizer_for(None)
-        old_key = tuple(coerce_repository(self._default_constraints))
         old_digest = minimizer.closure_digest
         new_repo = minimizer.repository.copy()
         start = time.perf_counter()
@@ -845,7 +839,12 @@ class Session:
         # entries are stale — drop that minimizer (and its warm pool).
         result.invalidated_replays = minimizer.cache_size
         minimizer.close()
-        self._minimizers.pop(old_key, None)
+        self._minimizers = {
+            key: kept
+            for key, kept in self._minimizers.items()
+            if kept is not minimizer
+        }
+        self._default = None
         self._default_constraints = new_repo
         # Build the successor eagerly: it reuses the already-recomputed
         # closure (new_repo is closed) and warm-starts from any store
@@ -916,13 +915,20 @@ class Session:
 
     def _minimizer_for(self, repo: Constraints) -> "BatchMinimizer":
         """The per-repository batch backend (created on first use; the
-        closure, memo, and pool live as long as the session)."""
+        closure, memo, and pool live as long as the session). The
+        session default is resolved once per constraint epoch: keying a
+        repository sorts the whole closure."""
         from .batch.minimizer import BatchMinimizer
 
         if self._closed:
             raise RuntimeError("session is closed")
-        constraints = repo if repo is not None else self._default_constraints
-        repository = coerce_repository(constraints)
+        if repo is None:
+            if self._default is None:
+                self._default = self._minimizer_for(
+                    coerce_repository(self._default_constraints)
+                )
+            return self._default
+        repository = coerce_repository(repo)
         key = tuple(repository)  # sorted, hashable constraint tuple
         minimizer = self._minimizers.get(key)
         if minimizer is None:

@@ -11,8 +11,9 @@ system. Entry points:
 * :func:`~repro.batch.evaluation.evaluate_batch` — evaluate many queries
   against a forest, fanning trees across workers;
 * :func:`~repro.batch.executor.process_map` — the shared deterministic
-  parallel-map utility (serial fallback for ``jobs=1`` and for payloads
-  that fail to pickle).
+  parallel map over a :class:`~repro.batch.executor.WorkerPool` (payloads
+  that fail to pickle, and whatever the pool cannot finish, run in the
+  calling process).
 """
 
 from .executor import WorkerPool, process_map, resolve_jobs

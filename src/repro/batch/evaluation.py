@@ -6,23 +6,25 @@ counterpart of :func:`repro.matching.evaluator.evaluate`. The fan-out is
 per *tree*: each worker receives the full (usually small) query list once
 via the pool initializer and streams through its share of the trees, so
 a forest of thousands of documents parallelizes without re-pickling the
-workload per task.
+workload per task. Trees evaluated in the calling process read the
+caller's own query list.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Optional, Sequence
+from functools import partial
+from typing import Sequence
 
 from ..core.pattern import TreePattern
 from ..data.tree import DataTree
 from ..errors import EvaluationError
 from ..matching.evaluator import Database, _engine_class, _trees
-from .executor import process_map
+from .executor import WorkerPool, process_map, resolve_jobs, use_pool
 
 __all__ = ["evaluate_batch"]
 
-# Worker-process globals, set once per pool by `_init_eval_worker`.
+# Worker-process globals, set once per worker by `_init_eval_worker`.
 _EVAL_PATTERNS: Sequence[TreePattern] = ()
 _EVAL_ENGINE: str = "dp"
 
@@ -33,12 +35,18 @@ def _init_eval_worker(patterns_bytes: bytes, engine: str) -> None:
     _EVAL_ENGINE = engine
 
 
-def _eval_one_tree(payload: tuple[int, DataTree]) -> tuple[int, list[set[int]]]:
+def _eval_tree(
+    patterns: Sequence[TreePattern], engine: str, payload: tuple[int, DataTree]
+) -> tuple[int, list[set[int]]]:
     tree_index, tree = payload
-    engine_class = _engine_class(_EVAL_ENGINE)
+    engine_class = _engine_class(engine)
     return tree_index, [
-        set(engine_class(pattern, tree).answer_set()) for pattern in _EVAL_PATTERNS
+        set(engine_class(pattern, tree).answer_set()) for pattern in patterns
     ]
+
+
+def _eval_one_tree(payload: tuple[int, DataTree]) -> tuple[int, list[set[int]]]:
+    return _eval_tree(_EVAL_PATTERNS, _EVAL_ENGINE, payload)
 
 
 def evaluate_batch(
@@ -46,8 +54,7 @@ def evaluate_batch(
     database: Database,
     *,
     engine: str = "dp",
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
+    jobs: "int | str" = 1,
 ) -> list[set[tuple[int, int]]]:
     """Answer sets for every query in ``patterns`` over ``database``.
 
@@ -55,7 +62,8 @@ def evaluate_batch(
     order — for each query, exactly what
     :func:`repro.matching.evaluator.evaluate` returns. ``jobs`` fans the
     trees across worker processes (``1`` = serial in-process); results
-    are identical for every setting.
+    are identical for every setting. A pool, when the forest needs one,
+    lives for this call only.
     """
     patterns = list(patterns)
     _engine_class(engine)  # fail fast on unknown engine names
@@ -67,16 +75,17 @@ def evaluate_batch(
                 raise EvaluationError(
                     f"engine 'pathstack' requires linear queries; query #{i} branches"
                 )
-    trees = _trees(database)
-
-    per_tree = process_map(
-        _eval_one_tree,
-        list(enumerate(trees)),
-        jobs=jobs if len(trees) > 1 else 1,
-        chunksize=chunksize,
-        initializer=_init_eval_worker,
-        initargs=(pickle.dumps(patterns), engine),
-    )
+    payloads = list(enumerate(_trees(database)))
+    local = partial(_eval_tree, patterns, engine)
+    if use_pool(jobs, len(payloads)):
+        with WorkerPool(
+            min(resolve_jobs(jobs), len(payloads)),
+            initializer=_init_eval_worker,
+            initargs=(pickle.dumps(patterns), engine),
+        ) as pool:
+            per_tree = process_map(_eval_one_tree, payloads, pool=pool, local=local)
+    else:
+        per_tree = [local(payload) for payload in payloads]
 
     answers: list[set[tuple[int, int]]] = [set() for _ in patterns]
     for tree_index, per_query in per_tree:

@@ -1,14 +1,15 @@
-"""Deterministic parallel map over a process pool.
+"""Deterministic parallel map over a worker pool.
 
 The batch backends share one dispatch utility: :func:`process_map` runs a
-module-level function over a payload list with ``jobs`` worker processes,
-chunked submission, and results returned **in input order** whatever the
-completion order. Payloads that cannot be pickled — and the whole batch
-when ``jobs=1`` or process pools are unavailable — fall back to running
-the function serially in-process, so callers never need a second code
-path and results are independent of the ``jobs`` setting. Each payload
-is pickled exactly once: the picklability probe's bytes are what the
-pool ships.
+module-level function over a payload list on a :class:`WorkerPool`'s
+worker processes, with chunked submission and results returned **in
+input order** whatever the completion order. Only worker processes ever
+run the pool's initializer. Whatever runs in the calling process — the
+whole batch when :func:`use_pool` says no, payloads that cannot be
+pickled, and the serial last resort — goes through the caller's
+``local`` function on the caller's own state, so results are
+independent of the ``jobs`` setting. Each payload is pickled exactly
+once: the picklability probe's bytes are what the pool ships.
 
 Failure is structured, not all-or-nothing: chunks are submitted as
 individual futures, so when the pool breaks mid-run (a worker
@@ -25,9 +26,11 @@ the ``worker.chunk`` / ``executor.pickle`` injection points.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -42,6 +45,8 @@ __all__ = [
     "process_map",
     "resolve_jobs",
     "default_chunksize",
+    "use_pool",
+    "worker_context",
     "WorkerPool",
 ]
 
@@ -52,8 +57,8 @@ _R = TypeVar("_R")
 MAX_POOL_RETRIES = 2
 
 #: ``jobs="auto"`` runs batches of at most this many payloads serially:
-#: pool spin-up (fork + initializer + repository unpickle per worker)
-#: costs more than minimizing a handful of queries in-process.
+#: pool spin-up (worker start + initializer + repository unpickle per
+#: worker) costs more than minimizing a handful of queries in-process.
 AUTO_SERIAL_THRESHOLD = 8
 
 
@@ -62,8 +67,8 @@ def resolve_jobs(jobs: "Optional[int | str]") -> int:
     worker per available core; negative values (and strings other than
     ``"auto"``) raise ``ValueError``.
 
-    ``"auto"`` additionally lets :func:`process_map` drop tiny batches
-    to the serial path — that heuristic lives there, not here: this
+    ``"auto"`` additionally lets :func:`use_pool` keep tiny batches in
+    the calling process — that heuristic lives there, not here: this
     function only answers "how many workers *could* run".
     """
     if isinstance(jobs, str):
@@ -75,6 +80,49 @@ def resolve_jobs(jobs: "Optional[int | str]") -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return jobs
+
+
+def use_pool(jobs: "Optional[int | str]", n_payloads: int) -> bool:
+    """Whether a batch of ``n_payloads`` goes to a worker pool under
+    ``jobs``; ``False`` means it runs in the calling process.
+
+    One worker, or at most one payload, never pays for a pool.
+    ``jobs="auto"`` also keeps batches of at most
+    :data:`AUTO_SERIAL_THRESHOLD` payloads (and every batch on a
+    single-core host) in process — pool spin-up would dominate. An
+    explicit ``jobs=N`` always dispatches larger batches through the
+    pool machinery, which the chaos/resilience paths rely on.
+    """
+    workers = resolve_jobs(jobs)
+    if workers <= 1 or n_payloads <= 1:
+        return False
+    return jobs != "auto" or n_payloads > AUTO_SERIAL_THRESHOLD
+
+
+def worker_context():
+    """The multiprocessing context every worker process starts from:
+    pool workers here and shards in :mod:`repro.shard`.
+
+    Never ``fork``: by the time a worker starts, the parent may run
+    threads (the store's write-behind thread, ``asyncio.to_thread``
+    batches, audits, each live shard's sender and reader), and a forked
+    child inherits any lock one of them holds at that instant, then
+    blocks on it forever; it would also inherit process-wide state such
+    as the attached persistent store. ``forkserver`` forks from a
+    single-threaded server instead; ``spawn`` is the fallback where
+    ``forkserver`` is unavailable. The server preloads every module of
+    this package the parent has imported when it starts (the worker
+    modules among them), so a new worker — which re-imports the
+    parent's main module — skips the package import.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    package = __name__.split(".")[0]
+    context.set_forkserver_preload(
+        sorted(name for name in sys.modules if name.split(".")[0] == package)
+    )
+    return context
 
 
 def default_chunksize(n_items: int, jobs: int) -> int:
@@ -180,14 +228,15 @@ def _kill_executor_workers(executor) -> None:
 
 
 class WorkerPool:
-    """A keep-warm process pool for repeated :func:`process_map` calls.
+    """A process pool for :func:`process_map`, alive until :meth:`close`.
 
-    The one-shot path spawns (and tears down) a ``ProcessPoolExecutor``
-    per call, paying worker startup plus the initializer — repository
-    unpickling, cache warm-up — every batch. A ``WorkerPool`` pins the
-    initializer once and keeps the executor alive between calls, which
-    is what lets the serving layer's micro-batches reuse warm workers
-    (and their process-local containment-oracle caches) across requests.
+    The pool pins its initializer and initargs: each worker runs the
+    initializer once, when it starts, and never in the calling process.
+    Callers own one pool for as long as their state lives — a
+    :class:`~repro.batch.minimizer.BatchMinimizer` keeps one until it is
+    closed, so micro-batches reuse warm workers (and their process-local
+    containment-oracle caches) across requests. Workers start from
+    :func:`worker_context`.
 
     The executor is created lazily and recreated after
     :meth:`invalidate` — :func:`process_map` invalidates the pool when
@@ -218,6 +267,7 @@ class WorkerPool:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.jobs,
+                    mp_context=worker_context(),
                     initializer=self._initializer,
                     initargs=self._initargs,
                 )
@@ -313,36 +363,24 @@ def process_map(
     fn: Callable[[_P], _R],
     payloads: Sequence[_P],
     *,
-    jobs: "int | str" = 1,
-    chunksize: Optional[int] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Iterable[object] = (),
-    pool: Optional[WorkerPool] = None,
+    pool: WorkerPool,
+    local: Optional[Callable[[_P], _R]] = None,
     injector: "Optional[FaultInjector]" = None,
     watchdog: Optional[float] = None,
     stats: Optional[ExecutorStats] = None,
     max_pool_retries: int = MAX_POOL_RETRIES,
 ) -> list[_R]:
-    """Run ``fn`` over ``payloads`` with ``jobs`` processes; results in
+    """Run ``fn`` over ``payloads`` on ``pool``'s workers; results in
     input order.
 
-    ``fn`` (and ``initializer``) must be module-level functions so they
-    can be pickled by the pool. With ``jobs=1`` everything runs serially
-    in-process (the initializer is still called, so worker globals are
-    set up identically). Payloads that fail to pickle are executed
-    in-process too, spliced back into their original positions.
-
-    ``jobs="auto"`` resolves to one worker per core, except that tiny
-    batches (single-core hosts, or at most
-    :data:`AUTO_SERIAL_THRESHOLD` payloads) run serially — pool
-    spin-up would dominate. The heuristic applies **only** in auto
-    mode: an explicit ``jobs=N`` always dispatches through the pool
-    machinery, which the chaos/resilience paths rely on.
-
-    ``pool`` selects a persistent :class:`WorkerPool` instead of a
-    per-call executor: the pool's pinned initializer must match
-    ``initializer``/``initargs`` (callers own that invariant) and
-    workers stay warm across calls.
+    ``fn`` must be a module-level function so it can be pickled by the
+    pool; it may read the worker globals the pool's initializer set.
+    ``local`` is its in-process counterpart (default: ``fn`` itself),
+    which must compute the same result from the caller's own state:
+    payloads that fail to pickle run through it, spliced back into
+    their original positions, and so does whatever the pool never
+    completes. Whether to use a pool at all is the caller's decision
+    (:func:`use_pool`).
 
     Resilience knobs:
 
@@ -355,26 +393,12 @@ def process_map(
     - ``injector`` — a :class:`~repro.resilience.faults.FaultInjector`
       arming ``worker.chunk`` (crash/slow, shipped to the worker inside
       the chunk task) and ``executor.pickle`` (forces the pickle
-      fallback) on the pooled path;
+      fallback);
     - ``stats`` — an :class:`ExecutorStats` the call adds its retry /
       watchdog / fallback counters into.
     """
-    auto = jobs == "auto"
-    jobs = resolve_jobs(jobs)
-    if auto and (jobs <= 1 or len(payloads) <= AUTO_SERIAL_THRESHOLD):
-        jobs = 1
+    local = local if local is not None else fn
     stats = stats if stats is not None else ExecutorStats()
-    if initializer is not None and (jobs == 1 or payloads):
-        # Run the initializer in-process as well: the serial path and any
-        # pickle-fallback payload read the same worker globals.
-        initializer(*initargs)
-    if jobs == 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-    except ImportError:  # pragma: no cover - CPython always has it
-        return [fn(p) for p in payloads]
 
     # Pickle each payload exactly once: the probe's serialized bytes ARE
     # what gets submitted (via `_run_chunk`), instead of probing with one
@@ -391,71 +415,50 @@ def process_map(
         else:
             pool_items.append((index, blob))
     if not pool_items:
-        return [fn(p) for p in payloads]
+        return [local(p) for p in payloads]
 
     results: list[Optional[_R]] = [None] * len(payloads)
-    chunk = chunksize or default_chunksize(
-        len(pool_items), min(jobs, pool.jobs) if pool else jobs
-    )
+    chunk = default_chunksize(len(pool_items), pool.jobs)
     pending = [pool_items[i : i + chunk] for i in range(0, len(pool_items), chunk)]
     stats.dispatched_chunks += len(pending)
 
-    ephemeral = None
-    try:
-        for round_no in range(1 + max(max_pool_retries, 0)):
-            try:
-                if pool is not None:
-                    executor = pool.executor()
-                else:
-                    if ephemeral is None:
-                        ephemeral = ProcessPoolExecutor(
-                            max_workers=min(jobs, len(pool_items)),
-                            initializer=initializer,
-                            initargs=tuple(initargs),
-                        )
-                    executor = ephemeral
-                outcome = _dispatch_round(
-                    executor,
-                    fn,
-                    pending,
-                    arm_faults=(round_no == 0),
-                    injector=injector,
-                    watchdog=watchdog,
-                    stats=stats,
-                )
-            except (OSError, PermissionError, RuntimeError):
-                # No usable process pool at all (process creation
-                # forbidden on sandboxed hosts, missing start method,
-                # interpreter shutting down): serial last resort below.
-                break
-            for index, result in outcome.completed.items():
-                results[index] = result
-            pending = outcome.failed
-            if not pending:
-                break
-            # A worker died or hung: recreate the pool and retry only
-            # the chunks that never completed.
-            if round_no < max_pool_retries:
-                stats.pool_retries += 1
-                stats.chunks_retried += len(pending)
-            if pool is not None:
-                pool.invalidate()
-            elif ephemeral is not None:
-                ephemeral.shutdown(wait=False, cancel_futures=True)
-                ephemeral = None
-        if pending and pool is not None:
-            pool.invalidate()
-    finally:
-        if ephemeral is not None:
-            ephemeral.shutdown(wait=False, cancel_futures=True)
+    for round_no in range(1 + max(max_pool_retries, 0)):
+        try:
+            outcome = _dispatch_round(
+                pool.executor(),
+                fn,
+                pending,
+                arm_faults=(round_no == 0),
+                injector=injector,
+                watchdog=watchdog,
+                stats=stats,
+            )
+        except (OSError, PermissionError, RuntimeError):
+            # No usable process pool at all (process creation
+            # forbidden on sandboxed hosts, missing start method,
+            # interpreter shutting down): serial last resort below.
+            break
+        for index, result in outcome.completed.items():
+            results[index] = result
+        pending = outcome.failed
+        if not pending:
+            break
+        # A worker died or hung: recreate the pool and retry only
+        # the chunks that never completed.
+        if round_no < max_pool_retries:
+            stats.pool_retries += 1
+            stats.chunks_retried += len(pending)
+        pool.invalidate()
+    if pending:
+        pool.invalidate()
 
     # Serial last resort: whatever never completed on a pool runs
-    # in-process (the initializer already ran above).
+    # in-process, on the caller's own state.
     for items in pending:
         for index, _ in items:
-            results[index] = fn(payloads[index])
+            results[index] = local(payloads[index])
             stats.serial_fallbacks += 1
 
     for index, payload in local_items:
-        results[index] = fn(payload)
+        results[index] = local(payload)
     return results  # type: ignore[return-value]

@@ -17,9 +17,12 @@ minimize(q, ics)`` loop repeats three kinds of work:
    reproducing the serial result exactly.
 3. **Single-threaded dispatch** — distinct queries are independent, so
    with ``jobs>1`` they fan out over a process pool
-   (:func:`~repro.batch.executor.process_map`), with the closed
-   repository shipped to each worker once via the pool initializer and
-   results restored to input order.
+   (:func:`~repro.batch.executor.process_map`), with results restored
+   to input order. The pool is built on the first batch that needs it
+   and lives until :meth:`BatchMinimizer.close`; the closed repository
+   is pickled once, then, and shipped to each worker through the pool
+   initializer. Batches that run in the calling process minimize
+   against the minimizer's own closed repository and pickle nothing.
 
 The contract, verified by the differential tests: for every ``jobs``
 setting, with or without memoization, :meth:`BatchMinimizer.minimize_all`
@@ -41,7 +44,7 @@ from ..core.fingerprint import fingerprint, isomorphism
 from ..core.pattern import TreePattern
 from ..core.pipeline import MinimizeResult, minimize
 from ..errors import InvalidPatternError
-from .executor import ExecutorStats, WorkerPool, process_map, resolve_jobs
+from .executor import ExecutorStats, WorkerPool, process_map, resolve_jobs, use_pool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports batch)
     from ..api import MinimizeOptions
@@ -209,11 +212,13 @@ class _MemoEntry:
     certificate: Optional[object] = None
 
 
-# Worker-process globals, set once per pool by `_init_worker` (the closed
-# repository is shipped a single time instead of per task). The
-# containment-oracle cache is deliberately NOT shipped: each worker
-# rebuilds its own process-local cache, warmed by the queries it happens
-# to minimize — only the on/off switch crosses the process boundary.
+# Worker-process globals, set once per worker by `_init_worker` (the
+# closed repository is shipped a single time instead of per task). Only
+# pool workers read them; the calling process never runs `_init_worker`.
+# The containment-oracle cache is deliberately NOT shipped: each worker
+# starts from a fresh process (`worker_context`) and rebuilds its own
+# process-local cache, warmed by the queries it happens to minimize —
+# only the on/off switch crosses the process boundary.
 _WORKER_REPO: Optional[ConstraintRepository] = None
 _WORKER_USE_CDM: bool = True
 _WORKER_ORACLE: Optional[bool] = None
@@ -250,7 +255,7 @@ _REMOVED_KWARGS = {
     "memoize": "MinimizeOptions(memoize=...)",
     "use_cdm_prefilter": 'MinimizeOptions(strategy="pipeline"/"acim")',
     "oracle_cache": "MinimizeOptions(oracle_cache=...)",
-    "chunksize": "MinimizeOptions(chunksize=...)",
+    "chunksize": "removed; pool tasks are sized automatically",
 }
 
 
@@ -293,13 +298,17 @@ class BatchMinimizer:
         every worker process).
     options:
         A :class:`repro.api.MinimizeOptions` carrying the whole
-        configuration (jobs, memoize, strategy, oracle_cache, chunksize,
-        persistent_pool); ``None`` means all defaults. This
-        is the **only** configuration path — the scattered per-knob
-        kwargs of earlier releases (``jobs=``, ``memoize=``,
-        ``use_cdm_prefilter=``, ``oracle_cache=``, ``chunksize=``) were
-        removed after their deprecation cycle and now raise
-        :class:`TypeError` with a migration hint.
+        configuration (jobs, memoize, strategy, oracle_cache, ...);
+        ``None`` means all defaults. This is the **only** configuration
+        path — the scattered per-knob kwargs of earlier releases
+        (``jobs=``, ``memoize=``, ``use_cdm_prefilter=``,
+        ``oracle_cache=``, ``chunksize=``) were removed after their
+        deprecation cycle and now raise :class:`TypeError` with a
+        migration hint.
+
+    With ``jobs != 1`` the minimizer builds one
+    :class:`~repro.batch.executor.WorkerPool` on its first pooled batch
+    and keeps it until :meth:`close` (it is a context manager).
     """
 
     def __init__(
@@ -322,11 +331,9 @@ class BatchMinimizer:
         self.memoize = options.memoize
         self.use_cdm_prefilter = options.use_cdm_prefilter
         self.oracle_cache = options.oracle_cache
-        self.chunksize = options.chunksize
         self.watchdog = options.watchdog
         self.certify = getattr(options, "certify", False)
         fault_plan = options.fault_plan
-        persistent_pool = options.persistent_pool
         if injector is None and fault_plan is not None and fault_plan:
             from ..resilience.faults import FaultInjector as _FaultInjector
 
@@ -356,24 +363,14 @@ class BatchMinimizer:
         self.closure_digest = repo.digest()
         if self._store is not None and self.memoize:
             self._warm_start()
-        # The pool initargs are pinned per instance, so the closed
-        # repository is pickled once here, not once per minimize_all call.
-        self._initargs = (
-            pickle.dumps(self.repository),
-            self.use_cdm_prefilter,
-            self.oracle_cache,
-            self.certify,
-        )
-        self._pool: Optional[WorkerPool] = (
-            WorkerPool(self.jobs, initializer=_init_worker, initargs=self._initargs)
-            if persistent_pool and self.jobs > 1
-            else None
-        )
+        #: The worker pool, built by the first pooled batch.
+        self._pool: Optional[WorkerPool] = None
 
     def close(self) -> None:
-        """Release the persistent worker pool, if any (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
+        """Release the worker pool, if one was built (idempotent)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
 
     def __enter__(self) -> "BatchMinimizer":
         return self
@@ -422,18 +419,19 @@ class BatchMinimizer:
 
         start = time.perf_counter()
         xstats = ExecutorStats()
-        results = process_map(
-            _minimize_one,
-            [patterns[i] for i in fresh],
-            jobs=self._jobs_spec if len(fresh) > 1 else 1,
-            chunksize=self.chunksize,
-            initializer=_init_worker,
-            initargs=self._initargs,
-            pool=self._pool,
-            injector=self.injector,
-            watchdog=self.watchdog,
-            stats=xstats,
-        )
+        todo = [patterns[i] for i in fresh]
+        if use_pool(self._jobs_spec, len(todo)):
+            results = process_map(
+                _minimize_one,
+                todo,
+                pool=self._worker_pool(),
+                local=self._minimize_here,
+                injector=self.injector,
+                watchdog=self.watchdog,
+                stats=xstats,
+            )
+        else:
+            results = [self._minimize_here(pattern) for pattern in todo]
         stats.minimize_seconds = time.perf_counter() - start
         self.executor_stats.absorb(xstats)
         stats.pickle_fallbacks = xstats.pickle_fallbacks
@@ -503,6 +501,33 @@ class BatchMinimizer:
     def minimize(self, pattern: TreePattern) -> BatchItemResult:
         """Minimize one query through the batch cache (serial path)."""
         return self.minimize_all([pattern]).items[0]
+
+    def _minimize_here(self, pattern: TreePattern) -> MinimizeResult:
+        """Minimize one query in the calling process, against this
+        minimizer's own closed repository."""
+        return minimize(
+            pattern,
+            self.repository,
+            use_cdm_prefilter=self.use_cdm_prefilter,
+            oracle_cache=self.oracle_cache,
+            certify=self.certify,
+        )
+
+    def _worker_pool(self) -> WorkerPool:
+        """The pool pooled batches run on, built on first use: the closed
+        repository is pickled here, once per pool."""
+        if self._pool is None:
+            self._pool = WorkerPool(
+                self.jobs,
+                initializer=_init_worker,
+                initargs=(
+                    pickle.dumps(self.repository),
+                    self.use_cdm_prefilter,
+                    self.oracle_cache,
+                    self.certify,
+                ),
+            )
+        return self._pool
 
     @property
     def cache_size(self) -> int:
@@ -633,13 +658,7 @@ class BatchMinimizer:
     ) -> BatchItemResult:
         """Cold-path recovery: minimize from scratch, re-certify, refresh
         the memo and store, and serve the fresh answer."""
-        result = _fresh_minimize(
-            pattern,
-            self.repository,
-            self.use_cdm_prefilter,
-            self.oracle_cache,
-            self.certify,
-        )
+        result = self._minimize_here(pattern)
         if self.certify:
             self._check_fresh(result, pattern, stats)
         if self.memoize:
@@ -693,13 +712,7 @@ class BatchMinimizer:
                 return self._recompute(index, pattern, fp, stats)
         mapping = isomorphism(entry.input_pattern, pattern)
         if mapping is None:  # pragma: no cover - SHA-256 collision
-            result = _fresh_minimize(
-                pattern,
-                self.repository,
-                self.use_cdm_prefilter,
-                self.oracle_cache,
-                self.certify,
-            )
+            result = self._minimize_here(pattern)
             return BatchItemResult(
                 index=index,
                 pattern=result.pattern,
@@ -734,22 +747,6 @@ class BatchMinimizer:
         )
 
 
-def _fresh_minimize(
-    pattern: TreePattern,
-    repo: ConstraintRepository,
-    use_cdm_prefilter: bool,
-    oracle_cache: Optional[bool] = None,
-    certify: bool = False,
-) -> MinimizeResult:
-    return minimize(
-        pattern,
-        repo,
-        use_cdm_prefilter=use_cdm_prefilter,
-        oracle_cache=oracle_cache,
-        certify=certify,
-    )
-
-
 def minimize_batch(
     patterns: Sequence[TreePattern],
     constraints: "ConstraintRepository | Iterable[IntegrityConstraint] | None" = None,
@@ -765,4 +762,5 @@ def minimize_batch(
     """
     if legacy:
         raise TypeError(_legacy_kwargs_message("minimize_batch", legacy))
-    return BatchMinimizer(constraints, options).minimize_all(patterns)
+    with BatchMinimizer(constraints, options) as minimizer:
+        return minimizer.minimize_all(patterns)

@@ -26,6 +26,7 @@ engine code.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -79,6 +80,16 @@ class VirtualRow:
             edge=str(data["edge"]),
             extra_types=tuple(str(t) for t in data.get("extra", ())),
         )
+
+
+#: One object per distinct remapped row, alive while any certificate
+#: holds it. Replays re-anchor the same few rows on the same few node
+#: ids over and over, and rows are immutable values, so a remapped
+#: certificate shares its rows instead of allocating its own; certified
+#: answers retained by a caller then cost a fraction of the memory.
+_SHARED_ROWS: "weakref.WeakValueDictionary[tuple, VirtualRow]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 @dataclass(frozen=True)
@@ -182,6 +193,14 @@ class Certificate:
         def real(i: int) -> int:
             return id_map.get(i, i) if i >= 0 else i
 
+        def row_of(row: VirtualRow) -> VirtualRow:
+            parent_id = real(row.parent_id)
+            key = (row.id, row.node_type, parent_id, row.edge, row.extra_types)
+            shared = _SHARED_ROWS.get(key)
+            if shared is None:
+                shared = _SHARED_ROWS[key] = VirtualRow(*key)
+            return shared
+
         steps = tuple(
             WitnessStep(
                 node_id=real(s.node_id),
@@ -189,29 +208,11 @@ class Certificate:
                 stage=s.stage,
                 rule=s.rule,
                 mapping=tuple((real(a), real(b)) for a, b in s.mapping),
-                virtuals=tuple(
-                    VirtualRow(
-                        id=row.id,
-                        node_type=row.node_type,
-                        parent_id=real(row.parent_id),
-                        edge=row.edge,
-                        extra_types=row.extra_types,
-                    )
-                    for row in s.virtuals
-                ),
+                virtuals=tuple(row_of(row) for row in s.virtuals),
             )
             for s in self.steps
         )
-        virtual_targets = tuple(
-            VirtualRow(
-                id=row.id,
-                node_type=row.node_type,
-                parent_id=real(row.parent_id),
-                edge=row.edge,
-                extra_types=row.extra_types,
-            )
-            for row in self.virtual_targets
-        )
+        virtual_targets = tuple(row_of(row) for row in self.virtual_targets)
         return Certificate(
             fingerprint=self.fingerprint,
             closure_digest=self.closure_digest,

@@ -214,9 +214,19 @@ class FlatPattern:
         """Canonical subtree encodings computed over the flat arrays.
 
         Byte-identical to :func:`repro.core.fingerprint.subtree_keys` on
-        the reconstructed pattern. Reversed preorder puts every node
-        after its descendants, so one backward sweep replaces the
-        explicit postorder stack.
+        the reconstructed pattern.
+        """
+        return dict(zip(self.ids, self._subtree_key_sweep()))
+
+    def canonical_key(self) -> str:
+        """The root's canonical key (equals ``TreePattern.canonical_key``)."""
+        return self._subtree_key_sweep()[0]
+
+    def _subtree_key_sweep(self) -> list[str]:
+        """Every node's canonical subtree key, by preorder position.
+
+        Reversed preorder puts every node after its descendants, so one
+        backward sweep replaces the explicit postorder stack.
         """
         n = len(self.ids)
         keys: list[str] = [""] * n
@@ -231,24 +241,7 @@ class FlatPattern:
                 "?" if self.flags[i] & 2 else ""
             )
             keys[i] = f"{types[self.type_id[i]]}|{extras}|{flags}({';'.join(child_keys)})"
-        return {self.ids[i]: keys[i] for i in range(n)}
-
-    def canonical_key(self) -> str:
-        """The root's canonical key (equals ``TreePattern.canonical_key``)."""
-        n = len(self.ids)
-        keys: list[str] = [""] * n
-        types = self.types
-        cs, ci, edges = self.child_start, self.child_index, self.edge
-        for i in range(n - 1, -1, -1):
-            child_keys = sorted(
-                _EDGE_SYMBOL[edges[j]] + keys[j] for j in ci[cs[i] : cs[i + 1]]
-            )
-            extras = ",".join(sorted(types[t] for t in self.extra_type_ids[i]))
-            flags = ("*" if self.flags[i] & 1 else "") + (
-                "?" if self.flags[i] & 2 else ""
-            )
-            keys[i] = f"{types[self.type_id[i]]}|{extras}|{flags}({';'.join(child_keys)})"
-        return keys[0]
+        return keys
 
 
 def pattern_from_flat(flat: FlatPattern) -> TreePattern:

@@ -14,10 +14,12 @@
   whichever comes first. Single requests under light load pay at most
   ``max_wait`` of added latency; bursts amortize the constraint closure,
   fingerprint memo, and pool dispatch across the whole batch;
-* a **warm worker pool** — the underlying session is configured with
-  ``persistent_pool=True`` whenever ``jobs != 1``, so worker processes
-  (and their process-local containment-oracle caches) survive between
-  micro-batches instead of being respawned per request;
+* a **warm worker pool** — with ``jobs != 1`` the underlying session's
+  batch backend builds one worker pool on its first pooled batch and
+  keeps it until the service closes, so worker processes (and their
+  process-local containment-oracle caches) survive between micro-batches
+  instead of being respawned per request; batches too small for the pool
+  run in the calling process against the session's own closure;
 * **per-request timeouts and cancellation** — a request that times out
   or is cancelled is dropped from the batch if it has not started, and
   its result is discarded if it has; either way the worker pool is never
@@ -321,8 +323,8 @@ class MinimizationService:
     ----------
     options:
         Session configuration (:class:`~repro.api.MinimizeOptions`).
-        When ``jobs != 1`` the service forces ``persistent_pool=True``
-        so workers stay warm between micro-batches.
+        With ``jobs != 1`` the session's pool stays warm between
+        micro-batches.
     constraints:
         The integrity constraints every request is minimized under (one
         repository per service; closure computed once).
@@ -362,8 +364,6 @@ class MinimizationService:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         options = options if options is not None else MinimizeOptions()
-        if options.jobs != 1 and not options.persistent_pool:
-            options = options.with_overrides(persistent_pool=True)
         self.options = options
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait

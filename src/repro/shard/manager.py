@@ -73,7 +73,6 @@ unchanged — ``repro-serve --shards N`` is the only switch.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
 import queue as queue_module
 import signal
@@ -84,6 +83,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..api import MinimizeOptions, QueryResult, _coerce_constraint_list
+from ..batch.executor import worker_context
 from ..constraints.closure import closure
 from ..constraints.repository import coerce_repository
 from ..core.fingerprint import fingerprint
@@ -108,24 +108,6 @@ SHARD_POLICIES = ("affinity", "overflow", "round-robin")
 
 #: Sentinel telling a shard's sender thread to exit.
 _SENDER_STOP = object()
-
-
-def _worker_context():
-    """The multiprocessing context every shard (and respawn) starts from.
-
-    Never ``fork``: by the time a shard starts, the manager process runs
-    threads (the store's write-behind thread, each live shard's sender
-    and reader), and a forked child inherits any lock one of them holds
-    at that instant, then blocks on it forever. ``forkserver`` forks
-    from a single-threaded server instead, preloaded with the worker
-    module so a new shard skips the package import; ``spawn`` is the
-    fallback where ``forkserver`` is unavailable.
-    """
-    if "forkserver" not in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("spawn")
-    context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload([shard_worker_main.__module__])
-    return context
 
 
 def resolve_shards(value, *, cpu_count: Optional[int] = None) -> int:
@@ -303,8 +285,6 @@ class ShardManager:
         if spill_threshold < 1:
             raise ValueError(f"spill_threshold must be >= 1, got {spill_threshold}")
         options = options if options is not None else MinimizeOptions()
-        if options.jobs != 1 and not options.persistent_pool:
-            options = options.with_overrides(persistent_pool=True)
         self.options = options
         self.constraints = constraints
         self.n_shards = shards
@@ -367,7 +347,7 @@ class ShardManager:
         self._started = False
         self._closing = False
         self._restart_lock: Optional[asyncio.Lock] = None
-        self._mp_context = _worker_context()
+        self._mp_context = worker_context()
         self._last_worker_stats: "list[ServiceStats]" = []
 
     # ------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 from repro.api import STRATEGIES, MinimizeOptions, QueryResult, Session
 from repro.batch import BatchMinimizer
 from repro.constraints.model import parse_constraints
+from repro.constraints.repository import ConstraintRepository
 from repro.core import oracle_cache
 from repro.core.pipeline import minimize
 from repro.data.generate import random_tree
@@ -61,9 +62,9 @@ class TestMinimizeOptions:
 
     def test_with_overrides(self):
         options = MinimizeOptions()
-        warmed = options.with_overrides(persistent_pool=True, jobs=2)
-        assert warmed.persistent_pool and warmed.jobs == 2
-        assert options.persistent_pool is False  # frozen original untouched
+        pooled = options.with_overrides(jobs=2, memoize=False)
+        assert pooled.jobs == 2 and pooled.memoize is False
+        assert options.jobs == 1 and options.memoize  # frozen original untouched
 
     def test_strategies_pinned(self):
         assert STRATEGIES == ("pipeline", "acim")
@@ -179,6 +180,57 @@ class TestSession:
     def test_rejects_non_options(self):
         with pytest.raises(TypeError, match="MinimizeOptions"):
             Session({"jobs": 2})
+
+    def test_default_constraints_resolved_once_per_epoch(self, monkeypatch):
+        """Keying a repository sorts the whole closure; after an update
+        the session reuses the default it resolved, call after call."""
+        query = parse_xpath("a/b[c][c]")
+        with Session(constraints=CONSTRAINTS) as session:
+            session.minimize(query)
+            session.update_constraints(add="c -> a")
+            default = session._minimizer_for(None).repository
+            assert default.is_closed
+            session.minimize(query)  # warms the new epoch's memo
+            scans = []
+            real_iter = ConstraintRepository.__iter__
+
+            def spy(repo):
+                if repo is default:
+                    scans.append(1)
+                return real_iter(repo)
+
+            monkeypatch.setattr(ConstraintRepository, "__iter__", spy)
+            for _ in range(5):
+                assert session.minimize(query).cache_hit
+            session.constraints_digest()
+            session.constraints_info()
+        assert scans == []
+
+    def test_equivalent_closes_the_default_once(self, monkeypatch):
+        import importlib
+
+        closures = []
+        for name in (
+            "repro.batch.minimizer",
+            "repro.core.pipeline",
+            "repro.core.acim",
+            "repro.core.chase",
+            "repro.core.ic_containment",
+            "repro.certify.checker",
+        ):
+            module = importlib.import_module(name)
+            if hasattr(module, "closure"):
+                real = module.closure
+                monkeypatch.setattr(
+                    module,
+                    "closure",
+                    lambda repo, _real=real: closures.append(1) or _real(repo),
+                )
+        q1, q2 = parse_xpath("a/b[c][c]"), parse_xpath("a/b[c]")
+        with Session(constraints=list(CONSTRAINTS)) as session:
+            for _ in range(4):
+                assert session.equivalent(q1, q2)
+        assert len(closures) <= 1
 
 
 class TestQueryResult:

@@ -69,8 +69,6 @@ def test_session_api_is_exported():
         "jobs",
         "strategy",
         "memoize",
-        "chunksize",
-        "persistent_pool",
         "verify",
         "watchdog",
         "fault_plan",

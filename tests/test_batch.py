@@ -10,24 +10,29 @@ constraints.
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.api import MinimizeOptions
+from repro.api import MinimizeOptions, Session
 from repro.batch import (
     BatchMinimizer,
+    WorkerPool,
     evaluate_batch,
     minimize_batch,
     process_map,
     resolve_jobs,
 )
-from repro.batch.executor import default_chunksize
+from repro.batch.executor import default_chunksize, use_pool
 from repro.constraints.model import parse_constraints
 from repro.core.pipeline import minimize
 from repro.data.generate import random_tree
 from repro.matching.evaluator import ENGINES, evaluate
 from repro.parsing.sexpr import to_sexpr
+from repro.parsing.xpath import parse_xpath
 from repro.workloads import batch_workload, isomorphic_shuffle, random_query
 from repro.workloads.icgen import relevant_constraints
 
@@ -184,27 +189,35 @@ class TestExecutor:
         assert default_chunksize(100, 4) == 100 // 16
 
     def test_serial_map_preserves_order(self):
-        assert process_map(str, [3, 1, 2], jobs=1) == ["3", "1", "2"]
+        """Payloads that all stay in process (none pickles) run through
+        ``local`` in input order, and no worker is ever started."""
+        payloads = [lambda: 3, lambda: 1, lambda: 2]
+        with WorkerPool(2) as pool:
+            assert process_map(_call, payloads, pool=pool) == [3, 1, 2]
+        assert pool.recreations == 0
 
     def test_parallel_map_preserves_order(self):
-        assert process_map(_square, list(range(20)), jobs=2) == [
-            i * i for i in range(20)
-        ]
+        with WorkerPool(2) as pool:
+            assert process_map(_square, list(range(20)), pool=pool) == [
+                i * i for i in range(20)
+            ]
 
     def test_unpicklable_payloads_fall_back_to_serial(self):
         payloads = [1, lambda: 2, 3]  # the lambda cannot cross a process
-        assert process_map(_typename, payloads, jobs=2) == [
-            "int",
-            "function",
-            "int",
-        ]
+        with WorkerPool(2) as pool:
+            assert process_map(_typename, payloads, pool=pool) == [
+                "int",
+                "function",
+                "int",
+            ]
 
     def test_crashed_worker_falls_back_to_serial(self):
         """A worker hard-crashing (BrokenProcessPool) must not lose the
         batch: process_map reruns everything serially in-process."""
-        assert process_map(_crash_in_worker, list(range(8)), jobs=2) == [
-            i * 10 for i in range(8)
-        ]
+        with WorkerPool(2) as pool:
+            assert process_map(_crash_in_worker, list(range(8)), pool=pool) == [
+                i * 10 for i in range(8)
+            ]
 
     def test_unstartable_pool_falls_back_to_serial(self, monkeypatch):
         import concurrent.futures
@@ -216,23 +229,158 @@ class TestExecutor:
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", _BrokenPool
         )
-        assert process_map(_square, list(range(6)), jobs=2) == [
-            i * i for i in range(6)
-        ]
+        with WorkerPool(2) as pool:
+            assert process_map(_square, list(range(6)), pool=pool) == [
+                i * i for i in range(6)
+            ]
 
     def test_payloads_pickled_exactly_once(self):
         """The picklability probe's bytes are what the pool ships — the
         payload object graph is never serialized a second time."""
         _CountingPayload.pickles = 0
         payloads = [_CountingPayload(i) for i in range(10)]
-        assert process_map(_payload_value, payloads, jobs=2) == list(range(10))
+        with WorkerPool(2) as pool:
+            assert process_map(_payload_value, payloads, pool=pool) == list(range(10))
         assert _CountingPayload.pickles == len(payloads)
 
-    def test_serial_path_never_pickles(self):
-        _CountingPayload.pickles = 0
-        payloads = [_CountingPayload(i) for i in range(4)]
-        assert process_map(_payload_value, payloads, jobs=1) == list(range(4))
-        assert _CountingPayload.pickles == 0
+    def test_serial_path_never_pickles(self, pickle_spy):
+        """``jobs=1`` never reaches a pool: neither the queries nor the
+        closure are pickled."""
+        assert not any(use_pool(1, n) for n in range(12))
+        queries = [parse_xpath(q) for q in ("a/b[c][c]", "a//b", "a/b/c")]
+        with BatchMinimizer(CONSTRAINTS, MinimizeOptions(memoize=False)) as minimizer:
+            minimizer.minimize_all(queries)
+        assert pickle_spy.dumped == [] and pickle_spy.loaded == []
+
+
+@pytest.fixture
+def pickle_spy(monkeypatch):
+    """Records the type name of everything ``pickle.dumps`` /
+    ``pickle.loads`` handle in this process during the test."""
+    spy = SimpleNamespace(dumped=[], loaded=[])
+    real_dumps, real_loads = pickle.dumps, pickle.loads
+
+    def dumps(obj, *args, **kwargs):
+        spy.dumped.append(type(obj).__name__)
+        return real_dumps(obj, *args, **kwargs)
+
+    def loads(data, *args, **kwargs):
+        obj = real_loads(data, *args, **kwargs)
+        spy.loaded.append(type(obj).__name__)
+        return obj
+
+    monkeypatch.setattr(pickle, "dumps", dumps)
+    monkeypatch.setattr(pickle, "loads", loads)
+    return spy
+
+
+def _live_children() -> set:
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+def _worker_sees_store(_):
+    from repro.core.oracle_cache import global_store
+
+    return global_store() is not None
+
+
+class TestPoolLifetime:
+    """Only worker processes run a pool initializer, a closure is pickled
+    only when a pool is built, and every pool dies with its owner."""
+
+    QUERIES = ("a/b[c][c]", "a//b", "a/b/c", "a[b][c]//c")
+
+    def queries(self):
+        return [parse_xpath(q) for q in self.QUERIES]
+
+    def test_jobs1_session_never_initializes_a_worker_in_process(
+        self, monkeypatch, pickle_spy
+    ):
+        from repro.batch import evaluation, minimizer
+
+        calls = []
+        monkeypatch.setattr(minimizer, "_init_worker", lambda *a: calls.append(a))
+        monkeypatch.setattr(evaluation, "_init_eval_worker", lambda *a: calls.append(a))
+        forest = [random_tree(["a", "b", "c"], size=15, seed=s) for s in range(3)]
+        with Session(constraints=CONSTRAINTS) as session:
+            session.minimize_many(self.queries())
+            session.minimize(self.queries()[0])
+            session.update_constraints(add="c -> a")
+            session.minimize_many(self.queries())
+            session.evaluate(self.queries(), forest)
+            assert session.equivalent(self.queries()[0], self.queries()[0])
+        assert calls == []
+        assert "ConstraintRepository" not in pickle_spy.loaded
+
+    def test_jobs1_minimizer_and_update_pickle_no_closure(self, pickle_spy):
+        BatchMinimizer(CONSTRAINTS)
+        with Session(constraints=CONSTRAINTS) as session:
+            session.minimize(self.queries()[0])
+            session.update_constraints(add="c -> a")
+            session.update_constraints(drop="c -> a")
+        assert "ConstraintRepository" not in pickle_spy.dumped
+
+    def test_pooled_minimizer_pickles_the_closure_once(self, pickle_spy):
+        with BatchMinimizer(CONSTRAINTS, MinimizeOptions(jobs=2, memoize=False)) as m:
+            assert "ConstraintRepository" not in pickle_spy.dumped
+            for _ in range(3):
+                m.minimize_all(self.queries())
+        assert pickle_spy.dumped.count("ConstraintRepository") == 1
+        assert "ConstraintRepository" not in pickle_spy.loaded
+
+    def test_one_shot_minimize_batch_leaves_no_live_worker(self):
+        before = _live_children()
+        batch = minimize_batch(self.queries(), CONSTRAINTS, MinimizeOptions(jobs=2))
+        assert batch.stats.engine_counters["dispatched_chunks"] > 0
+        assert _live_children() <= before
+
+    def test_one_shot_evaluate_batch_leaves_no_live_worker(self):
+        forest = [random_tree(["a", "b", "c"], size=15, seed=s) for s in range(4)]
+        before = _live_children()
+        answers = evaluate_batch(self.queries(), forest, jobs=2)
+        assert answers == [evaluate(q, forest) for q in self.queries()]
+        assert _live_children() <= before
+
+    def test_closed_session_leaves_no_live_worker(self):
+        before = _live_children()
+        with Session(MinimizeOptions(jobs=2), constraints=CONSTRAINTS) as session:
+            session.minimize_many(self.queries())
+            assert _live_children() - before  # the warm pool is up
+        assert _live_children() <= before
+
+    def test_jobs2_session_reuses_one_pool(self):
+        rng = random.Random(5)
+        with Session(
+            MinimizeOptions(jobs=2, memoize=False), constraints=CONSTRAINTS
+        ) as session:
+            for _ in range(3):
+                queries = [
+                    random_query(6, types=["a", "b", "c"], rng=rng) for _ in range(4)
+                ]
+                results = session.minimize_many(queries)
+                assert [to_sexpr(r.pattern) for r in results] == serial_loop(
+                    queries, CONSTRAINTS
+                )
+            pool = session._minimizer_for(None)._pool
+            assert pool is not None and pool.recreations == 1
+
+    def test_pool_workers_do_not_inherit_the_open_store(self, tmp_path):
+        """Workers start from a fresh process, not a fork of a parent that
+        runs the store's write-behind thread and holds it as the
+        process-wide oracle store."""
+        from repro.core.oracle_cache import global_store
+
+        options = MinimizeOptions(store_path=str(tmp_path / "store.db"))
+        with Session(options, constraints=CONSTRAINTS) as session:
+            session.minimize(self.queries()[0])
+            assert global_store() is session.store
+            with WorkerPool(2) as pool:
+                seen = process_map(_worker_sees_store, list(range(4)), pool=pool)
+        assert seen == [False] * 4
+
+
+def _call(thunk):
+    return thunk()
 
 
 def _square(x):

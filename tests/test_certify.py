@@ -96,6 +96,28 @@ def test_certificate_binds_recipe_and_sizes():
         assert cert.output_key == result.pattern.canonical_key()
 
 
+def test_remapped_certificates_share_equal_rows():
+    """A remap re-anchors rows by value: remapping there and back gives
+    the certificate back, and two equal remaps share their row objects
+    instead of each allocating its own."""
+    constraints = parse_constraints("a -> b; b ->> c; a ~ d")
+    with Session(MinimizeOptions(certify=True), constraints=constraints) as session:
+        results = session.minimize_many(
+            [parse_xpath(q) for q in ("a/b[c][c]", "x/a[b][d]", "a[b][.//c]")]
+        )
+    for result in results:
+        cert = result.certificate
+        assert cert.virtual_targets
+        there = {node.id: node.id + 100 for node in result.input_pattern.nodes()}
+        back = {moved: original for original, moved in there.items()}
+        first, second = cert.remapped(there), cert.remapped(there)
+        assert first == second and first.remapped(back) == cert
+        assert first.virtual_targets != cert.virtual_targets
+        assert all(
+            a is b for a, b in zip(first.virtual_targets, second.virtual_targets)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Checker verdicts (unit)
 # ---------------------------------------------------------------------------

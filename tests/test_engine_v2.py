@@ -468,13 +468,19 @@ class TestJobsAuto:
             resolve_jobs("never")
 
     def test_process_map_auto_small_batch_is_serial(self):
-        from repro.batch.executor import AUTO_SERIAL_THRESHOLD, ExecutorStats, process_map
+        from repro.batch import BatchMinimizer, resolve_jobs
+        from repro.batch.executor import AUTO_SERIAL_THRESHOLD, use_pool
 
-        stats = ExecutorStats()
-        payloads = list(range(AUTO_SERIAL_THRESHOLD))
-        out = process_map(_double, payloads, jobs="auto", stats=stats)
-        assert out == [p * 2 for p in payloads]
-        assert stats.dispatched_chunks == 0
+        assert not use_pool("auto", AUTO_SERIAL_THRESHOLD)
+        assert use_pool("auto", AUTO_SERIAL_THRESHOLD + 1) == (resolve_jobs("auto") > 1)
+        queries = [parse_xpath("a/b[c][c]")] * AUTO_SERIAL_THRESHOLD
+        with BatchMinimizer(
+            options=MinimizeOptions(jobs="auto", memoize=False)
+        ) as minimizer:
+            batch = minimizer.minimize_all(queries)
+            assert minimizer._pool is None
+        assert [p.size for p in batch.patterns()] == [3] * AUTO_SERIAL_THRESHOLD
+        assert batch.stats.engine_counters["dispatched_chunks"] == 0
 
     def test_options_accept_auto(self):
         assert MinimizeOptions(jobs="auto").jobs == "auto"
@@ -487,6 +493,3 @@ class TestJobsAuto:
             results = session.minimize_many(queries)
         assert [r.output_size for r in results] == [3, 2]
 
-
-def _double(x: int) -> int:
-    return x * 2

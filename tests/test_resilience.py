@@ -13,6 +13,8 @@ import threading
 
 import pytest
 
+from repro.api import MinimizeOptions
+from repro.batch import BatchMinimizer
 from repro.batch.executor import ExecutorStats, WorkerPool, process_map
 from repro.errors import (
     CircuitOpenError,
@@ -21,6 +23,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
+from repro.parsing.xpath import parse_xpath
 from repro.resilience import (
     FAULT_POINTS,
     CircuitBreaker,
@@ -256,18 +259,14 @@ class TestExecutorResilience:
         )
         injector = FaultInjector(plan)
         stats = ExecutorStats()
-        out = process_map(
-            _ident,
-            list(range(12)),
-            jobs=2,
-            chunksize=3,
-            injector=injector,
-            stats=stats,
-        )
+        with WorkerPool(2) as pool:
+            out = process_map(
+                _ident, list(range(12)), pool=pool, injector=injector, stats=stats
+            )
         assert out == list(range(12))
         assert injector.faults_injected == 1
         assert stats.pool_retries >= 1
-        # only the broken round's chunks were retried, never all 4 twice
+        # only the broken round's chunks were retried, never every chunk twice
         assert 1 <= stats.chunks_retried <= stats.dispatched_chunks
 
     def test_watchdog_kills_hung_chunk_and_recovers(self):
@@ -278,15 +277,15 @@ class TestExecutorResilience:
             # delay far beyond the watchdog on the first chunk.
             specs=(FaultSpec(point="worker.chunk", kind="slow", at=(1,), delay=30.0),)
         )
-        out = process_map(
-            _ident,
-            payloads,
-            jobs=2,
-            chunksize=2,
-            injector=FaultInjector(plan),
-            watchdog=1.0,
-            stats=stats,
-        )
+        with WorkerPool(2) as pool:
+            out = process_map(
+                _ident,
+                payloads,
+                pool=pool,
+                injector=FaultInjector(plan),
+                watchdog=1.0,
+                stats=stats,
+            )
         assert out == payloads
         assert stats.watchdog_kills >= 1
 
@@ -295,13 +294,14 @@ class TestExecutorResilience:
             specs=(FaultSpec(point="executor.pickle", kind="fail", every=2),)
         )
         stats = ExecutorStats()
-        out = process_map(
-            _ident,
-            list(range(8)),
-            jobs=2,
-            injector=FaultInjector(plan),
-            stats=stats,
-        )
+        with WorkerPool(2) as pool:
+            out = process_map(
+                _ident,
+                list(range(8)),
+                pool=pool,
+                injector=FaultInjector(plan),
+                stats=stats,
+            )
         assert out == list(range(8))
         assert stats.pickle_fallbacks == 4
 
@@ -310,7 +310,12 @@ class TestExecutorResilience:
             specs=(FaultSpec(point="worker.chunk", kind="crash", every=1),)
         )
         injector = FaultInjector(plan)
-        assert process_map(_ident, [1, 2, 3], jobs=1, injector=injector) == [1, 2, 3]
+        queries = [parse_xpath("a/b[c][c]"), parse_xpath("a//b"), parse_xpath("a/b/c")]
+        with BatchMinimizer(
+            options=MinimizeOptions(jobs=1, memoize=False), injector=injector
+        ) as minimizer:
+            batch = minimizer.minimize_all(queries)
+        assert [p.size for p in batch.patterns()] == [3, 2, 3]
         assert injector.faults_injected == 0  # never armed off the pooled path
 
     def test_persistent_pool_survives_injected_crash(self):
@@ -319,14 +324,8 @@ class TestExecutorResilience:
         )
         injector = FaultInjector(plan)
         with WorkerPool(2) as pool:
-            first = process_map(
-                _ident, list(range(6)), jobs=2, chunksize=2, pool=pool,
-                injector=injector,
-            )
-            second = process_map(
-                _ident, list(range(6, 12)), jobs=2, chunksize=2, pool=pool,
-                injector=injector,
-            )
+            first = process_map(_ident, range(6), pool=pool, injector=injector)
+            second = process_map(_ident, range(6, 12), pool=pool, injector=injector)
         assert first == list(range(6)) and second == list(range(6, 12))
         assert injector.faults_injected == 1
         assert pool.recreations >= 2  # invalidated and rebuilt after the crash

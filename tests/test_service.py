@@ -201,11 +201,6 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="max_queue"):
             MinimizationService(max_queue=0)
 
-    def test_jobs_force_persistent_pool(self):
-        service = MinimizationService(MinimizeOptions(jobs=2))
-        assert service.options.persistent_pool is True
-        assert MinimizationService().options.persistent_pool is False
-
 
 class TestTimeoutsAndCancellation:
     def test_per_request_timeout(self):
