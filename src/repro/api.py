@@ -478,7 +478,7 @@ class Session:
                 f"options must be a MinimizeOptions, got {type(self.options).__name__}"
             )
         self._default_constraints = constraints
-        self._minimizers: dict[tuple, "BatchMinimizer"] = {}
+        self._minimizers: dict[str, "BatchMinimizer"] = {}
         #: The minimizer of the session-default constraints, resolved once
         #: per constraint epoch (:meth:`_minimizer_for`).
         self._default: Optional["BatchMinimizer"] = None
@@ -915,9 +915,8 @@ class Session:
 
     def _minimizer_for(self, repo: Constraints) -> "BatchMinimizer":
         """The per-repository batch backend (created on first use; the
-        closure, memo, and pool live as long as the session). The
-        session default is resolved once per constraint epoch: keying a
-        repository sorts the whole closure."""
+        closure, memo, and pool live as long as the session), keyed by
+        the repository's digest, which the repository computes once."""
         from .batch.minimizer import BatchMinimizer
 
         if self._closed:
@@ -929,7 +928,7 @@ class Session:
                 )
             return self._default
         repository = coerce_repository(repo)
-        key = tuple(repository)  # sorted, hashable constraint tuple
+        key = repository.digest()
         minimizer = self._minimizers.get(key)
         if minimizer is None:
             minimizer = BatchMinimizer(

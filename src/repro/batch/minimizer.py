@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from ..constraints.closure import closure
 from ..constraints.model import IntegrityConstraint
 from ..constraints.repository import ConstraintRepository, coerce_repository
-from ..core.fingerprint import fingerprint, isomorphism
+from ..core.fingerprint import fingerprint, isomorphism, subtree_keys
 from ..core.pattern import TreePattern
 from ..core.pipeline import MinimizeResult, minimize
 from ..errors import InvalidPatternError
@@ -196,16 +196,13 @@ class _MemoEntry:
     """A memoized representative: its input structure plus the recorded
     elimination (CDM first, then ACIM — the pipeline's order).
 
-    ``result`` is ``None`` for entries warm-loaded from the persistent
-    store: the replay path (:meth:`BatchMinimizer._replay`) only ever
-    consumes ``input_pattern`` and ``eliminated``, so a disk-served
-    representative replays exactly like a memory-born one — the full
-    per-stage :class:`~repro.core.pipeline.MinimizeResult` simply isn't
-    available for it."""
+    This is all the replay path (:meth:`BatchMinimizer._replay`) reads,
+    so a disk-served representative replays exactly like a memory-born
+    one, and no entry keeps the representative's full per-stage
+    :class:`~repro.core.pipeline.MinimizeResult` alive."""
 
     input_pattern: TreePattern
     eliminated: list[tuple[int, str]]
-    result: Optional[MinimizeResult] = None
     #: Witness certificate for the representative (in its own node ids),
     #: present when the entry was produced or loaded under
     #: ``certify=True``; ``None`` for legacy/uncertified records.
@@ -400,7 +397,11 @@ class BatchMinimizer:
                 time.sleep(fault.delay)
 
         start = time.perf_counter()
-        prints: list[str] = [fingerprint(p) for p in patterns]
+        # Unmemoized key tables: a memo would stay on the caller's
+        # patterns for as long as the caller keeps them. Replays reuse
+        # the tables for the isomorphism.
+        tables = [subtree_keys(p, memoize=False) for p in patterns]
+        prints = [fingerprint(p, keys=keys) for p, keys in zip(patterns, tables)]
         fresh: list[int] = []  # indexes to actually minimize
         seen: dict[str, int] = {}
         for index, fp in enumerate(prints):
@@ -441,6 +442,9 @@ class BatchMinimizer:
             stats.engine_counters[key] = stats.engine_counters.get(key, 0) + value
 
         by_index: dict[int, MinimizeResult] = dict(zip(fresh, results))
+        # One record per fresh answer; the memo keeps its own list (the
+        # cache.poison fault point edits it) of the same tuples.
+        recorded = {index: _result_eliminated(result) for index, result in by_index.items()}
         for index, result in by_index.items():
             if result.acim is not None:
                 for key, value in result.acim.images_stats.counters().items():
@@ -451,8 +455,7 @@ class BatchMinimizer:
             if self.memoize and fp not in self._cache:
                 entry = _MemoEntry(
                     input_pattern=patterns[index].copy(),
-                    eliminated=_result_eliminated(result),
-                    result=result,
+                    eliminated=list(recorded[index]),
                     certificate=result.certificate,
                 )
                 self._cache[fp] = entry
@@ -486,7 +489,7 @@ class BatchMinimizer:
                         pattern=result.pattern,
                         fingerprint=fp,
                         cache_hit=False,
-                        eliminated=_result_eliminated(result),
+                        eliminated=recorded[index],
                         input_size=pattern.size,
                         result=result,
                         certificate=result.certificate,
@@ -494,7 +497,7 @@ class BatchMinimizer:
                 )
                 continue
             stats.cache_hits += 1
-            items.append(self._replay(index, pattern, fp, stats))
+            items.append(self._replay(index, pattern, fp, stats, keys=tables[index]))
         stats.replay_seconds = time.perf_counter() - start
         return BatchResult(items=items, stats=stats)
 
@@ -665,7 +668,6 @@ class BatchMinimizer:
             entry = _MemoEntry(
                 input_pattern=pattern.copy(),
                 eliminated=_result_eliminated(result),
-                result=result,
                 certificate=result.certificate,
             )
             self._cache[fp] = entry
@@ -693,11 +695,18 @@ class BatchMinimizer:
     # ------------------------------------------------------------------
 
     def _replay(
-        self, index: int, pattern: TreePattern, fp: str, stats: BatchStats
+        self,
+        index: int,
+        pattern: TreePattern,
+        fp: str,
+        stats: BatchStats,
+        *,
+        keys: dict[int, str],
     ) -> BatchItemResult:
         """Reproduce the representative's elimination on an isomorphic
         duplicate by mapping the recorded deletions through the
-        document-order-canonical isomorphism.
+        document-order-canonical isomorphism (``keys`` is the duplicate's
+        :func:`~repro.core.fingerprint.subtree_keys` table).
 
         Under ``certify=True`` nothing cached is served unverified: the
         representative's certificate is re-checked first, and a missing
@@ -710,7 +719,7 @@ class BatchMinimizer:
                 if stats.quarantined_records > quarantined_before:
                     stats.recomputed_after_quarantine += 1
                 return self._recompute(index, pattern, fp, stats)
-        mapping = isomorphism(entry.input_pattern, pattern)
+        mapping = isomorphism(entry.input_pattern, pattern, keys_b=keys)
         if mapping is None:  # pragma: no cover - SHA-256 collision
             result = self._minimize_here(pattern)
             return BatchItemResult(

@@ -138,6 +138,15 @@ class WitnessStep:
         )
 
 
+#: One object per distinct remapped certificate, alive while any caller
+#: holds it, for the same reason as :data:`_SHARED_ROWS`: a structure
+#: replayed onto the same node ids under the same closure yields the
+#: same certificate every time.
+_SHARED_CERTIFICATES: "weakref.WeakValueDictionary[tuple, Certificate]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A checkable equivalence proof for one minimization answer.
@@ -213,16 +222,20 @@ class Certificate:
             for s in self.steps
         )
         virtual_targets = tuple(row_of(row) for row in self.virtual_targets)
-        return Certificate(
-            fingerprint=self.fingerprint,
-            closure_digest=self.closure_digest,
-            input_size=self.input_size,
-            output_size=self.output_size,
-            steps=steps,
-            virtual_targets=virtual_targets,
-            output_key=self.output_key,
-            version=self.version,
+        key = (
+            self.fingerprint,
+            self.closure_digest,
+            self.input_size,
+            self.output_size,
+            steps,
+            virtual_targets,
+            self.output_key,
+            self.version,
         )
+        shared = _SHARED_CERTIFICATES.get(key)
+        if shared is None:
+            shared = _SHARED_CERTIFICATES[key] = Certificate(*key)
+        return shared
 
     def to_json(self) -> dict[str, Any]:
         return {

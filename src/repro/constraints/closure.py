@@ -25,14 +25,16 @@ t1->t3``                  the required t2 child *is* a t3 node (same for
 Trivial co-occurrences ``t ~ t`` are never generated (they are vacuous and
 the model class forbids them).
 
-Two entry points: :func:`closure` computes the fixpoint from scratch;
-:func:`extend_closure` grows an already-closed repository by a handful of
-new constraints with a semi-naive worklist — each new fact is joined
-against the existing closure through the forward (:func:`implied_by`) and
-reverse (:func:`reverse_implied_by`) indexes, so the cost is proportional
-to the consequences of the *delta*, not to the whole repository. The two
-produce identical closures (the fixpoint is unique), which the
-differential tests pin digest-for-digest.
+Both entry points run one semi-naive worklist: each new fact is joined
+against the facts already present through the forward
+(:func:`implied_by`) and reverse (:func:`reverse_implied_by`) indexes, and
+each derived fact is queued once. :func:`closure` seeds the worklist with
+every input constraint; :func:`extend_closure` grows an already-closed
+repository by a handful of new constraints, so its cost is proportional
+to the consequences of the *delta*, not to the whole repository. The
+fixpoint is unique, so both agree with the naive "apply every rule to
+every constraint until nothing changes" iteration, which the tests keep
+as the reference and compare digest-for-digest.
 """
 
 from __future__ import annotations
@@ -57,21 +59,15 @@ def closure(
     """The logical closure of ``constraints`` as a closed repository.
 
     The input is not modified (an already-closed repository is returned
-    as an independent copy). The fixpoint iterates until no rule adds a
-    new constraint; with ``T`` types the result has O(T²) constraints per
-    kind, so the computation is polynomial.
+    as an independent copy), and its base/derived split carries over.
+    The worklist starts with every input constraint; with ``T`` types the
+    result has O(T²) constraints per kind, so the computation is
+    polynomial.
     """
     repo = coerce_repository(constraints).copy()
-    if repo.is_closed:
-        return repo
-    changed = True
-    while changed:
-        changed = False
-        for c in list(repo):
-            for implied in implied_by(c, repo):
-                if repo._insert(implied, base=False):
-                    changed = True
-    repo._mark_closed()
+    if not repo.is_closed:
+        _saturate(repo, list(repo))
+        repo._mark_closed()
     return repo
 
 
@@ -83,31 +79,33 @@ def extend_closure(
     additions plus their derived consequences).
 
     ``repo`` must hold a closed constraint set (the closed *flag* may be
-    temporarily cleared by the caller — :class:`RepositoryUpdate` does).
-    The worklist joins each new fact against the existing set in both
-    premise positions: :func:`implied_by` covers rules where the new fact
-    is the first premise, :func:`reverse_implied_by` (through the
-    repository's ``(kind, target)`` reverse index) covers rules where it
-    is the second. Consequences of two new facts are reached because the
-    first is already inserted when the second is processed.
+    temporarily cleared by the caller — :class:`RepositoryUpdate` does),
+    so the worklist starts with the additions alone.
     """
-    inserted: list[IntegrityConstraint] = []
-    worklist: list[IntegrityConstraint] = []
-    for c in additions:
-        if repo._insert(c, base=True):
-            inserted.append(c)
-            worklist.append(c)
+    inserted = [c for c in additions if repo._insert(c, base=True)]
+    return inserted + _saturate(repo, list(inserted))
+
+
+def _saturate(
+    repo: ConstraintRepository, worklist: list[IntegrityConstraint]
+) -> list[IntegrityConstraint]:
+    """Drain ``worklist`` (constraints already in ``repo``), inserting
+    every consequence as a derived constraint and queueing it in turn;
+    returns the derived constraints inserted.
+
+    Every fact is in ``repo`` before it is queued, so of two facts that
+    combine, the one popped later finds the other present: the forward
+    join covers it as first premise, the reverse join as second, and the
+    result is the full fixpoint.
+    """
+    derived: list[IntegrityConstraint] = []
     while worklist:
         c = worklist.pop()
-        for implied in implied_by(c, repo):
+        for implied in (*implied_by(c, repo), *reverse_implied_by(c, repo)):
             if repo._insert(implied, base=False):
-                inserted.append(implied)
+                derived.append(implied)
                 worklist.append(implied)
-        for implied in reverse_implied_by(c, repo):
-            if repo._insert(implied, base=False):
-                inserted.append(implied)
-                worklist.append(implied)
-    return inserted
+    return derived
 
 
 def implied_by(
@@ -155,11 +153,9 @@ def reverse_implied_by(
     """One-step consequences of ``c`` as the *second* premise of each
     binary rule, joining through the repository's reverse index.
 
-    The full fixpoint never needs this (it revisits every constraint, so
-    each pair is eventually seen first-premise-wise); the incremental
-    worklist of :func:`extend_closure` does — an existing ``t1 -> t2``
-    must combine with a *new* ``t2 ~ t3`` even though the existing
-    constraint is never re-enqueued.
+    The worklist needs this because it visits each constraint once: an
+    existing ``t1 -> t2`` must combine with a *new* ``t2 ~ t3`` even
+    though the existing constraint is never re-enqueued.
     """
     out: list[IntegrityConstraint] = []
     if c.is_co_occurrence:

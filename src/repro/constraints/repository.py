@@ -14,6 +14,14 @@ This is exactly why CDM's running time is independent of the repository
 size (Figure 8(a)): every rule application is one hash probe keyed by the
 pair of types in a node's information content.
 
+Facts about the whole set — the sorted constraint tuple behind iteration,
+:meth:`ConstraintRepository.digest`, which kinds occur, the type set and
+:meth:`ConstraintRepository.finitely_satisfiable` — are computed on first
+use and kept until the set next changes: the private writers
+(``_insert``, ``_remove``, ``_adopt``) drop them. A closed repository
+therefore pays for each once per closure, and the query path reads them
+in O(1) instead of sorting, scanning or hashing the closure per query.
+
 Lifecycle
 ---------
 A repository is **open** while it is being populated and becomes
@@ -44,12 +52,14 @@ derived constraint after the recompute.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from ..errors import ConstraintError, RepositoryClosedError
 from .model import ConstraintKind, IntegrityConstraint
 
 __all__ = ["ConstraintRepository", "RepositoryUpdate", "coerce_repository"]
+
+_T = TypeVar("_T")
 
 
 class ConstraintRepository:
@@ -75,6 +85,9 @@ class ConstraintRepository:
         self._sources: dict[tuple[ConstraintKind, str], set[str]] = {}
         self._by_source: dict[str, set[IntegrityConstraint]] = {}
         self._base: set[IntegrityConstraint] = set()
+        #: Whole-set facts by name (see the module docstring); emptied by
+        #: every write to ``_all``.
+        self._facts: dict[str, object] = {}
         self._closed = False
         for c in constraints:
             self._insert(c, base=True)
@@ -154,6 +167,7 @@ class ConstraintRepository:
         if constraint in self._all:
             return False
         self._all.add(constraint)
+        self._facts.clear()
         self._targets.setdefault((constraint.kind, constraint.source), set()).add(
             constraint.target
         )
@@ -165,6 +179,7 @@ class ConstraintRepository:
 
     def _remove(self, constraint: IntegrityConstraint) -> None:
         self._all.discard(constraint)
+        self._facts.clear()
         self._base.discard(constraint)
         for index, key, member in (
             (self._targets, (constraint.kind, constraint.source), constraint.target),
@@ -188,11 +203,19 @@ class ConstraintRepository:
         self._sources = other._sources
         self._by_source = other._by_source
         self._base = other._base
+        self._facts = {}
         self._closed = other._closed
 
     def _mark_closed(self) -> None:
         """Internal: flag this repository as logically closed."""
         self._closed = True
+
+    def _fact(self, name: str, compute: Callable[[], _T]) -> _T:
+        """``compute()``, kept under ``name`` until the set next changes."""
+        facts = self._facts
+        if name not in facts:
+            facts[name] = compute()
+        return facts[name]
 
     # ------------------------------------------------------------------
     # Point lookups (all O(1))
@@ -263,26 +286,49 @@ class ConstraintRepository:
         )
 
     def copy(self) -> "ConstraintRepository":
-        """An independent copy (preserves the closed flag and the
-        base/derived split)."""
+        """An independent copy (preserves the closed flag, the
+        base/derived split and the whole-set facts already computed)."""
         clone = ConstraintRepository(self._all)
         clone._base = set(self._base)
+        clone._facts = dict(self._facts)
         clone._closed = self._closed
         return clone
 
-    def types(self) -> set[str]:
+    def types(self) -> frozenset[str]:
         """All type names mentioned by any constraint."""
-        out: set[str] = set()
-        for c in self._all:
-            out.add(c.source)
-            out.add(c.target)
-        return out
+        return self._fact(
+            "types",
+            lambda: frozenset(t for c in self._all for t in (c.source, c.target)),
+        )
+
+    def has_kind(self, kind: ConstraintKind) -> bool:
+        """Whether any constraint of ``kind`` is in the repository."""
+        return kind in self._fact("kinds", lambda: frozenset(c.kind for c in self._all))
+
+    def finitely_satisfiable(self) -> bool:
+        """Whether some finite database can contain nodes of every
+        mentioned type: in the closure, no type may require a child or
+        descendant of its own type. Degenerate sets make the mentioned
+        types necessarily empty and reduce equivalence-under-constraints
+        to vacuous truth. An open repository is closed first (the
+        closure is not kept)."""
+        return self._fact("finite", self._finitely_satisfiable)
+
+    def _finitely_satisfiable(self) -> bool:
+        if not self._closed:
+            from .closure import closure
+
+            return closure(self).finitely_satisfiable()
+        return all(
+            not self.has_required_child(t, t) and not self.has_required_descendant(t, t)
+            for t in self.types()
+        )
 
     def __contains__(self, constraint: object) -> bool:
         return constraint in self._all
 
     def __iter__(self) -> Iterator[IntegrityConstraint]:
-        return iter(sorted(self._all))
+        return iter(self._fact("sorted", lambda: tuple(sorted(self._all))))
 
     def __len__(self) -> int:
         return len(self._all)
@@ -308,9 +354,12 @@ class ConstraintRepository:
         records by the digest of the *closed* repository they were proven
         under, so any IC change — which changes the closure, hence the
         digest — invalidates exactly the records whose proofs it could
-        affect and no others.
+        affect and no others. Computed once per set (module docstring).
         """
-        return hashlib.sha256(self.notation("\n").encode("utf-8")).hexdigest()
+        return self._fact(
+            "digest",
+            lambda: hashlib.sha256(self.notation("\n").encode("utf-8")).hexdigest(),
+        )
 
 
 class RepositoryUpdate:

@@ -44,7 +44,7 @@ class AcimResult:
     Attributes
     ----------
     pattern:
-        The minimized query (always a fresh copy).
+        The minimized query (a copy unless ``in_place=True``).
     eliminated:
         ``(node_id, node_type)`` pairs in elimination order.
     witnesses:
@@ -101,6 +101,7 @@ def acim_minimize(
     seed: Optional[int] = None,
     incremental: bool = True,
     oracle_cache: Optional[bool] = None,
+    in_place: bool = False,
 ) -> AcimResult:
     """Minimize ``pattern`` under ``constraints`` (Algorithm ACIM).
 
@@ -111,8 +112,9 @@ def acim_minimize(
     Parameters mirror :func:`repro.core.cim.cim_minimize`; see there for
     ``collect_witnesses``, ``seed``, ``incremental`` (one maintained
     images engine for the whole elimination loop vs the from-scratch
-    rebuild-per-deletion baseline), and ``oracle_cache`` (the
-    sibling-subtree prune memo).
+    rebuild-per-deletion baseline), ``oracle_cache`` (the
+    sibling-subtree prune memo) and ``in_place`` (minimize ``pattern``
+    itself instead of a copy).
     """
     repo = coerce_repository(constraints)
     result = AcimResult(pattern=pattern)  # placeholder, replaced below
@@ -123,7 +125,7 @@ def acim_minimize(
 
     start = time.perf_counter()
     virtual, extra_types = augmentation_targets(pattern, closed)
-    working = pattern.copy()
+    working = pattern if in_place else pattern.copy()
     for node_id, types in extra_types.items():
         for t in sorted(types):
             working.add_extra_type(working.node(node_id), t)

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..constraints.model import IntegrityConstraint
+from ..constraints.model import ConstraintKind, IntegrityConstraint
 from ..constraints.repository import ConstraintRepository, coerce_repository
 from ..constraints.closure import closure
 from .edges import EdgeKind
 from .images import VirtualTarget
+from .node import NO_TYPES
 from .pattern import TreePattern
 
 __all__ = ["augmentation_targets", "augment", "chase"]
@@ -87,11 +88,10 @@ def augmentation_targets(
     repo = _closed(constraints)
     virtual: list[VirtualTarget] = []
     extra_types: dict[int, frozenset[str]] = {}
-    has_cooc = any(c.is_co_occurrence for c in repo)
-    if has_cooc:
-        from .ic_containment import finitely_satisfiable
-
-        has_cooc = finitely_satisfiable(repo)
+    # Two per-closure facts, read by probe: a query never scans the closure.
+    has_cooc = (
+        repo.has_kind(ConstraintKind.CO_OCCURRENCE) and repo.finitely_satisfiable()
+    )
     present = {n.type for n in pattern.nodes() if not n.temporary}
     if has_cooc:
         depth_cap = max(n.depth for n in pattern.nodes())
@@ -102,11 +102,9 @@ def augmentation_targets(
             # pass through an absent type to reach a present one — but
             # extra types are: mapping sources are real nodes, so an
             # absent extra type can never receive a mapping.
+            extras = frozenset(t for t in repo.co_occurring_with(t2) if t in present)
             vt = VirtualTarget(
-                next(counter), t2, parent_id, edge,
-                extra_types=frozenset(
-                    t for t in repo.co_occurring_with(t2) if t in present
-                ),
+                next(counter), t2, parent_id, edge, extra_types=extras or NO_TYPES
             )
             virtual.append(vt)
             if depth >= depth_cap:

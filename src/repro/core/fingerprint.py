@@ -32,7 +32,7 @@ from .pattern import TreePattern
 __all__ = ["fingerprint", "are_isomorphic", "isomorphism", "subtree_keys"]
 
 
-def subtree_keys(pattern: TreePattern) -> Dict[int, str]:
+def subtree_keys(pattern: TreePattern, *, memoize: bool = True) -> Dict[int, str]:
     """Canonical encoding of every node's (unordered) subtree.
 
     Same encoding as :meth:`TreePattern.canonical_key`, computed for all
@@ -44,6 +44,9 @@ def subtree_keys(pattern: TreePattern) -> Dict[int, str]:
     extra types, attach/detach), so repeated fingerprinting of an
     unchanged pattern — the oracle cache's steady state — costs a dict
     lookup. Callers must treat the returned dict as read-only.
+    ``memoize=False`` leaves no memo behind: the batch path uses it on
+    caller-owned patterns, which would otherwise carry the table for as
+    long as the caller keeps them.
     """
     memo = getattr(pattern, "_subtree_keys_memo", None)
     version = pattern._version
@@ -63,19 +66,23 @@ def subtree_keys(pattern: TreePattern) -> Dict[int, str]:
         extras = ",".join(sorted(node.extra_types))
         flags = ("*" if node.is_output else "") + ("?" if node.temporary else "")
         keys[node.id] = f"{node.type}|{extras}|{flags}({';'.join(child_keys)})"
-    pattern._subtree_keys_memo = (version, keys)
+    if memoize:
+        pattern._subtree_keys_memo = (version, keys)
     return keys
 
 
-def fingerprint(pattern: TreePattern) -> str:
+def fingerprint(pattern: TreePattern, *, keys: Optional[Dict[int, str]] = None) -> str:
     """A 64-hex-digit structural hash of ``pattern``.
 
     Order-insensitive and id-insensitive: isomorphic patterns (shuffled
     sibling order, remapped node ids) collide by construction, and — up
     to SHA-256 collisions — fingerprint equality implies
-    :func:`are_isomorphic`.
+    :func:`are_isomorphic`. ``keys`` accepts the pattern's precomputed
+    :func:`subtree_keys` table.
     """
-    key = subtree_keys(pattern)[pattern.root.id]
+    if keys is None:
+        keys = subtree_keys(pattern)
+    key = keys[pattern.root.id]
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 

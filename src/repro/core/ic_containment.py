@@ -55,14 +55,10 @@ def finitely_satisfiable(
     """Whether some finite database can contain nodes of every mentioned
     type: no type may (transitively) require a child or descendant of its
     own type. Degenerate sets make the mentioned types necessarily empty
-    and reduce equivalence-under-constraints to vacuous truth."""
-    repo = coerce_repository(constraints)
-    if not repo.is_closed:
-        repo = closure(repo)
-    return all(
-        not repo.has_required_child(t, t) and not repo.has_required_descendant(t, t)
-        for t in repo.types()
-    )
+    and reduce equivalence-under-constraints to vacuous truth. The answer
+    is kept per closure
+    (:meth:`~repro.constraints.repository.ConstraintRepository.finitely_satisfiable`)."""
+    return coerce_repository(constraints).finitely_satisfiable()
 
 
 def _attach_witness(
@@ -100,7 +96,7 @@ def chase_for_containment(
     Complete for finitely satisfiable closures; otherwise each implied
     type is expanded one level only (sound fallback).
     """
-    deep = finitely_satisfiable(repo)
+    deep = repo.finitely_satisfiable()
     result = pattern.copy()
     for node in list(result.nodes()):
         for t2 in sorted(repo.co_occurring_with(node.type)):

@@ -22,7 +22,7 @@ from .edges import EdgeKind
 __all__ = ["VirtualTarget", "ImagesStats"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VirtualTarget:
     """An augmentation-implied node used only as a mapping target.
 

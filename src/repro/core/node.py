@@ -21,7 +21,11 @@ from .edges import EdgeKind
 if TYPE_CHECKING:  # pragma: no cover
     from .pattern import TreePattern
 
-__all__ = ["PatternNode"]
+__all__ = ["PatternNode", "NO_TYPES"]
+
+#: The empty extra-type set, shared: most nodes carry no extra type, and
+#: an empty frozenset of their own would cost 216 bytes each.
+NO_TYPES: frozenset[str] = frozenset()
 
 
 class PatternNode:
@@ -77,9 +81,11 @@ class PatternNode:
         self.edge = edge
         self._is_output = is_output
         self._temporary = temporary
-        self._extra_types: frozenset[str] = frozenset()
+        self._extra_types = NO_TYPES
         self._parent: Optional[PatternNode] = None
-        self._children: list[PatternNode] = []
+        # A leaf holds the empty tuple, not an empty list of its own (56
+        # bytes): most nodes of a pattern are leaves.
+        self._children: "list[PatternNode] | tuple[()]" = ()
         self._pattern = pattern
 
     # ------------------------------------------------------------------
@@ -212,13 +218,19 @@ class PatternNode:
                 f"node {child.id} already has a parent; cannot attach twice"
             )
         child._parent = self
-        self._children.append(child)
+        if self._children:
+            self._children.append(child)
+        else:
+            self._children = [child]
         self._pattern._version += 1
 
     def _detach(self) -> None:
         if self._parent is None:
             raise InvalidPatternError("cannot detach the root node")
-        self._parent._children.remove(self)
+        siblings = self._parent._children
+        siblings.remove(self)
+        if not siblings:
+            self._parent._children = ()
         self._parent = None
         self._pattern._version += 1
 

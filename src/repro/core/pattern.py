@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from ..errors import InvalidPatternError, OutputNodeError
 from .edges import EdgeKind
-from .node import PatternNode
+from .node import NO_TYPES, PatternNode
 
 __all__ = ["TreePattern", "BuildSpec"]
 
@@ -265,7 +265,7 @@ class TreePattern:
         # elimination ordering for the removed nodes.
         removed = self._postorder_from(node)
         for n in removed:
-            n._children.clear()
+            n._children = ()
         node._detach()
         for n in removed:
             del self._nodes[n.id]
@@ -308,7 +308,7 @@ class TreePattern:
     def clear_extra_types(self) -> None:
         """Drop all co-occurrence type annotations (augmentation cleanup)."""
         for node in self.nodes():
-            node.extra_types = frozenset()
+            node.extra_types = NO_TYPES
 
     # ------------------------------------------------------------------
     # Copying

@@ -36,7 +36,9 @@ class MinimizeResult:
         The unique minimal equivalent query.
     cdm / acim:
         Per-stage results (``cdm`` is ``None`` when the pre-filter was
-        disabled or there were no constraints).
+        disabled or there were no constraints). ACIM continues in place
+        on CDM's output, so ``cdm.pattern`` is ``pattern`` too; what CDM
+        alone removed is ``cdm.eliminated``.
     closure_seconds:
         Time spent closing the constraint set (done once, shared by both
         stages).
@@ -152,6 +154,8 @@ def minimize(
         seed=seed,
         incremental=incremental,
         oracle_cache=oracle_cache,
+        # CDM's output is this run's own copy: one pattern per result.
+        in_place=working is not pattern,
     )
     result.pattern = result.acim.pattern
     if certify:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.constraints import (
     closure,
     co_occurrence,
@@ -9,7 +14,47 @@ from repro.constraints import (
     required_descendant,
 )
 from repro.constraints.closure import implied_by
-from repro.constraints.repository import ConstraintRepository
+from repro.constraints.repository import ConstraintRepository, coerce_repository
+
+
+def naive_closure(constraints) -> ConstraintRepository:
+    """The reference fixpoint: apply every rule to every constraint (the
+    sorted set, re-read each round) until a round adds nothing."""
+    repo = coerce_repository(constraints).copy()
+    changed = True
+    while changed:
+        changed = False
+        for c in list(repo):
+            for implied in implied_by(c, repo):
+                if repo._insert(implied, base=False):
+                    changed = True
+    repo._mark_closed()
+    return repo
+
+
+TYPES = [f"t{i}" for i in range(7)]
+MAKERS = (required_child, required_descendant, co_occurrence)
+
+
+def random_constraints(rng: random.Random, n: int, types=TYPES) -> list:
+    """``n`` draws of any kind between any two types: cycles, synonyms and
+    unsatisfiable sets included, since the closure is defined for all."""
+    out = []
+    for _ in range(n):
+        make = rng.choice(MAKERS)
+        a, b = rng.choice(types), rng.choice(types)
+        if make is co_occurrence and a == b:
+            continue
+        out.append(make(a, b))
+    return out
+
+
+def assert_same_closure(constraints) -> None:
+    got, want = closure(constraints), naive_closure(constraints)
+    assert got.is_closed and want.is_closed
+    assert got.digest() == want.digest()
+    assert got.base == want.base
+    assert set(got) == set(want) and len(got) == len(want)
 
 
 class TestRules:
@@ -109,3 +154,39 @@ class TestImpliedBy:
         repo = ConstraintRepository([co_occurrence("b", "a")])
         implied = implied_by(co_occurrence("a", "b"), repo)
         assert all(not (c.is_co_occurrence and c.source == c.target) for c in implied)
+
+
+class TestAgainstNaiveFixpoint:
+    """:func:`closure` runs the semi-naive worklist; the naive fixpoint
+    above is its reference."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_sets(self, seed):
+        rng = random.Random(seed)
+        assert_same_closure(random_constraints(rng, rng.randint(0, 14)))
+
+    def test_long_chains_with_synonyms(self):
+        types = [f"c{i}" for i in range(40)]
+        chain = [required_child(a, b) for a, b in zip(types, types[1:])]
+        extra = random_constraints(random.Random(7), 30, types)
+        assert_same_closure(chain + extra + [co_occurrence("c3", "x"), co_occurrence("x", "c3")])
+
+    def test_open_repository_with_derived_members_keeps_its_split(self):
+        repo = ConstraintRepository([required_child("a", "b"), co_occurrence("b", "c")])
+        repo._insert(required_descendant("a", "b"), base=False)
+        assert_same_closure(repo)
+        assert required_descendant("a", "b") not in closure(repo).base
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(MAKERS),
+                st.sampled_from(TYPES[:5]),
+                st.sampled_from(TYPES[:5]),
+            ).filter(lambda d: not (d[0] is co_occurrence and d[1] == d[2])),
+            max_size=12,
+        )
+    )
+    def test_drawn_sets(self, draws):
+        assert_same_closure([make(a, b) for make, a, b in draws])
