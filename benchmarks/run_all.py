@@ -12,9 +12,6 @@ but the timings is deterministic):
   memo-free baselines (:mod:`benchmarks.bench_oracle_cache`);
 - ``BENCH_service.json`` — micro-batched serving vs one-at-a-time
   clients at several arrival rates (:mod:`benchmarks.bench_service`);
-- ``BENCH_shard.json`` — sharded fleet throughput and fingerprint-
-  affinity hit rates vs the single-process service
-  (:mod:`benchmarks.bench_shard`);
 - ``BENCH_persist.json`` — persistent-store warm-start vs cold-start,
   plus corruption/closure-churn degradation legs
   (:mod:`benchmarks.bench_persist`);
@@ -52,7 +49,6 @@ import bench_oracle_cache  # noqa: E402  (sibling module, script mode)
 import bench_persist  # noqa: E402  (sibling module, script mode)
 import bench_scenario  # noqa: E402  (sibling module, script mode)
 import bench_service  # noqa: E402  (sibling module, script mode)
-import bench_shard  # noqa: E402  (sibling module, script mode)
 
 from repro.bench.experiments import ALL_EXPERIMENTS, run_experiment  # noqa: E402
 from repro.bench.report import format_json  # noqa: E402
@@ -115,15 +111,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             str(repeat),
             "--out",
             str(args.out_dir / "BENCH_service.json"),
-        ]
-        + (["--fast"] if args.fast else [])
-    ) or status
-    status = bench_shard.main(
-        [
-            "--repeat",
-            str(repeat),
-            "--out",
-            str(args.out_dir / "BENCH_shard.json"),
         ]
         + (["--fast"] if args.fast else [])
     ) or status

@@ -42,8 +42,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence, Union
 
-from .constraints.model import IntegrityConstraint, parse_constraints
-from .constraints.repository import ConstraintRepository, coerce_repository
+from .constraints.model import IntegrityConstraint
+from .constraints.repository import (
+    ConstraintRepository,
+    coerce_constraints,
+    coerce_repository,
+)
 from .core.containment import (
     ContainmentStats,
     equivalent as _equivalent,
@@ -73,7 +77,12 @@ __all__ = [
 #: slower — the Figure 9(b) baseline).
 STRATEGIES = ("pipeline", "acim")
 
-Constraints = Union[ConstraintRepository, Iterable[IntegrityConstraint], None]
+#: Any constraint argument :func:`coerce_repository` accepts: a
+#: repository, ``None``, notation strings, constraint objects, or
+#: iterables mixing the last two.
+Constraints = Union[
+    ConstraintRepository, Iterable[Union[IntegrityConstraint, str]], str, None
+]
 
 
 @dataclass(frozen=True)
@@ -121,8 +130,7 @@ class MinimizeOptions:
         boot, attaches it behind the process-wide containment-oracle
         cache, and write-behinds fresh results to it. ``None`` (default)
         keeps everything in memory. (``repro-serve --store PATH`` wires
-        this; in sharded mode the manager is the single writer and the
-        workers read the same file.)
+        this.)
     certify:
         Proof-carrying mode: every minimization records the containment
         witnesses justifying each elimination into a
@@ -347,31 +355,6 @@ class QueryResult:
         )
 
 
-def _coerce_constraint_list(
-    spec: "Constraints | str | IntegrityConstraint",
-) -> list[IntegrityConstraint]:
-    """Constraint objects, notation strings (``"A -> B; C ~ D"``), or
-    iterables mixing both, normalized to a list of constraints."""
-    if spec is None:
-        return []
-    if isinstance(spec, IntegrityConstraint):
-        return [spec]
-    if isinstance(spec, str):
-        return parse_constraints(spec)
-    out: list[IntegrityConstraint] = []
-    for item in spec:
-        if isinstance(item, IntegrityConstraint):
-            out.append(item)
-        elif isinstance(item, str):
-            out.extend(parse_constraints(item))
-        else:
-            raise TypeError(
-                "constraints must be IntegrityConstraint objects or notation "
-                f"strings, got {type(item).__name__}"
-            )
-    return out
-
-
 @dataclass
 class ConstraintUpdateResult:
     """What one :meth:`Session.update_constraints` call did, precisely.
@@ -453,12 +436,13 @@ class Session:
         The configuration; ``None`` means all defaults.
     constraints:
         Default integrity constraints for calls that don't pass their
-        own ``repo``.
+        own ``repo``: a repository, constraint objects, notation strings
+        (``"Book -> Title; A ~ B"``), or an iterable mixing the last two.
     store:
         An already-open :class:`repro.store.PersistentStore` to use
-        instead of opening ``options.store_path`` (the sharded tier
-        injects per-worker read-only stores this way). An injected store
-        is *not* closed by :meth:`close` — its owner closes it.
+        instead of opening ``options.store_path``, for a caller that
+        keeps one store across several sessions. An injected store is
+        *not* closed by :meth:`close` — its owner closes it.
 
     Sessions are context managers; :meth:`close` releases any persistent
     worker pools. All methods are thread-safe to the extent the
@@ -787,17 +771,17 @@ class Session:
         A no-op update (same digest) invalidates nothing. Minimizers for
         *explicitly passed* ``repo`` arguments are untouched — only the
         session default changes. Callers racing in-flight ``minimize``
-        calls must order the update themselves (the service and shard
-        layers do: requests enqueued before the update are served under
-        the old closure, requests after under the new one).
+        calls must order the update themselves (the service does:
+        requests enqueued before the update are served under the old
+        closure, requests after under the new one).
 
         Session counters gain ``ic_updates``, ``closure_invalidations``
         (summed), and ``oracle_entries_surviving`` (latest snapshot).
         """
         if self._closed:
             raise RuntimeError("session is closed")
-        adds = _coerce_constraint_list(add)
-        drops = _coerce_constraint_list(drop)
+        adds = coerce_constraints(add)
+        drops = coerce_constraints(drop)
         minimizer = self._minimizer_for(None)
         old_digest = minimizer.closure_digest
         new_repo = minimizer.repository.copy()

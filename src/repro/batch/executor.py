@@ -100,20 +100,19 @@ def use_pool(jobs: "Optional[int | str]", n_payloads: int) -> bool:
 
 
 def worker_context():
-    """The multiprocessing context every worker process starts from:
-    pool workers here and shards in :mod:`repro.shard`.
+    """The multiprocessing context every pool worker starts from.
 
     Never ``fork``: by the time a worker starts, the parent may run
     threads (the store's write-behind thread, ``asyncio.to_thread``
-    batches, audits, each live shard's sender and reader), and a forked
-    child inherits any lock one of them holds at that instant, then
-    blocks on it forever; it would also inherit process-wide state such
-    as the attached persistent store. ``forkserver`` forks from a
-    single-threaded server instead; ``spawn`` is the fallback where
-    ``forkserver`` is unavailable. The server preloads every module of
-    this package the parent has imported when it starts (the worker
-    modules among them), so a new worker — which re-imports the
-    parent's main module — skips the package import.
+    batches, audits), and a forked child inherits any lock one of them
+    holds at that instant, then blocks on it forever; it would also
+    inherit process-wide state such as the attached persistent store.
+    ``forkserver`` forks from a single-threaded server instead;
+    ``spawn`` is the fallback where ``forkserver`` is unavailable. The
+    server preloads every module of this package the parent has
+    imported when it starts (the worker modules among them), so a new
+    worker — which re-imports the parent's main module — skips the
+    package import.
     """
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("spawn")

@@ -451,7 +451,7 @@ class BatchMinimizer:
                     stats.engine_counters[key] = stats.engine_counters.get(key, 0) + value
             fp = prints[index]
             if self.certify:
-                self._check_fresh(result, patterns[index], stats)
+                self._check_fresh(result, patterns[index], stats, tables[index])
             if self.memoize and fp not in self._cache:
                 entry = _MemoEntry(
                     input_pattern=patterns[index].copy(),
@@ -586,8 +586,16 @@ class BatchMinimizer:
     # Certification / audit pipeline
     # ------------------------------------------------------------------
 
-    def _check_fresh(self, result: MinimizeResult, pattern: TreePattern, stats: BatchStats) -> None:
-        """Verify a freshly minimized answer's own certificate.
+    def _check_fresh(
+        self,
+        result: MinimizeResult,
+        pattern: TreePattern,
+        stats: BatchStats,
+        keys: dict[int, str],
+    ) -> None:
+        """Verify a freshly minimized answer's own certificate (``keys``
+        is the pattern's :func:`~repro.core.fingerprint.subtree_keys`
+        table, built by the batch).
 
         A failure here is an engine/checker disagreement about a proof
         built moments ago — a bug, not a data-integrity event — so it
@@ -606,6 +614,7 @@ class BatchMinimizer:
             pattern,
             self.repository,
             eliminated=_result_eliminated(result),
+            keys=keys,
         )
         if not verdict.ok:  # pragma: no cover - engine/checker bug
             raise CertificationError(
@@ -635,6 +644,8 @@ class BatchMinimizer:
             entry.input_pattern,
             self.repository,
             eliminated=entry.eliminated,
+            # Memoized on the memo's own copy: every replay re-checks it.
+            keys=subtree_keys(entry.input_pattern),
         )
         if verdict.ok:
             stats.certified += 1
@@ -657,13 +668,18 @@ class BatchMinimizer:
             entry.eliminated[-1] = (node_id, f"{node_type}~poisoned")
 
     def _recompute(
-        self, index: int, pattern: TreePattern, fp: str, stats: BatchStats
+        self,
+        index: int,
+        pattern: TreePattern,
+        fp: str,
+        stats: BatchStats,
+        keys: dict[int, str],
     ) -> BatchItemResult:
         """Cold-path recovery: minimize from scratch, re-certify, refresh
         the memo and store, and serve the fresh answer."""
         result = self._minimize_here(pattern)
         if self.certify:
-            self._check_fresh(result, pattern, stats)
+            self._check_fresh(result, pattern, stats, keys)
         if self.memoize:
             entry = _MemoEntry(
                 input_pattern=pattern.copy(),
@@ -718,7 +734,7 @@ class BatchMinimizer:
             if not self._audit_entry(fp, entry, stats):
                 if stats.quarantined_records > quarantined_before:
                     stats.recomputed_after_quarantine += 1
-                return self._recompute(index, pattern, fp, stats)
+                return self._recompute(index, pattern, fp, stats, keys)
         mapping = isomorphism(entry.input_pattern, pattern, keys_b=keys)
         if mapping is None:  # pragma: no cover - SHA-256 collision
             result = self._minimize_here(pattern)

@@ -42,7 +42,7 @@ from ..constraints.closure import closure
 from ..constraints.model import IntegrityConstraint
 from ..constraints.repository import ConstraintRepository, coerce_repository
 from ..core.edges import EdgeKind
-from ..core.fingerprint import fingerprint
+from ..core.fingerprint import fingerprint, subtree_keys
 from ..core.node import PatternNode
 from ..core.pattern import TreePattern
 from .witness import EDGE_CHILD, EDGE_DESCENDANT, Certificate, VirtualRow
@@ -221,6 +221,7 @@ def check_certificate(
     constraints: "ConstraintRepository | Iterable[IntegrityConstraint] | None" = None,
     *,
     eliminated: Optional[Sequence[tuple[int, str]]] = None,
+    keys: Optional[dict[int, str]] = None,
 ) -> CheckResult:
     """Validate ``cert`` against ``input_pattern`` under ``constraints``.
 
@@ -230,10 +231,15 @@ def check_certificate(
     given (the ``(node_id, node_type)`` replay recipe the certificate
     travels with), the certificate's step sequence must match it exactly
     — a single-sided tamper of either artifact is then always caught.
+    ``keys`` accepts the input's precomputed
+    :func:`~repro.core.fingerprint.subtree_keys` table; without it the
+    table is built for this call and left on no pattern.
     """
     if cert.version != 1:
         return _fail(f"unsupported certificate version {cert.version}")
-    if fingerprint(input_pattern) != cert.fingerprint:
+    if keys is None:
+        keys = subtree_keys(input_pattern, memoize=False)
+    if fingerprint(input_pattern, keys=keys) != cert.fingerprint:
         return _fail("input fingerprint mismatch")
     if input_pattern.size != cert.input_size:
         return _fail("input size mismatch")

@@ -16,7 +16,12 @@ from .model import (
     required_child,
     required_descendant,
 )
-from .repository import ConstraintRepository, RepositoryUpdate, coerce_repository
+from .repository import (
+    ConstraintRepository,
+    RepositoryUpdate,
+    coerce_constraints,
+    coerce_repository,
+)
 from .closure import closure, extend_closure, implied_by, reverse_implied_by
 
 __all__ = [
@@ -29,6 +34,7 @@ __all__ = [
     "required_descendant",
     "ConstraintRepository",
     "RepositoryUpdate",
+    "coerce_constraints",
     "coerce_repository",
     "closure",
     "extend_closure",

@@ -55,9 +55,14 @@ import hashlib
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from ..errors import ConstraintError, RepositoryClosedError
-from .model import ConstraintKind, IntegrityConstraint
+from .model import ConstraintKind, IntegrityConstraint, parse_constraints
 
-__all__ = ["ConstraintRepository", "RepositoryUpdate", "coerce_repository"]
+__all__ = [
+    "ConstraintRepository",
+    "RepositoryUpdate",
+    "coerce_constraints",
+    "coerce_repository",
+]
 
 _T = TypeVar("_T")
 
@@ -447,8 +452,7 @@ class RepositoryUpdate:
                     "(drop the implying base constraints instead)"
                 )
             # Absent constraints are skipped, keeping repeated application
-            # of the same update idempotent (the sharded tier relies on
-            # this when a respawned worker re-receives an update).
+            # of the same update idempotent.
         added = [c for c in dict.fromkeys(self._adds) if c not in repo._base]
         self.dropped = dropped
         self.added = added
@@ -473,14 +477,44 @@ class RepositoryUpdate:
         return self
 
 
+def coerce_constraints(
+    spec: "Iterable[IntegrityConstraint | str] | IntegrityConstraint | str | None",
+) -> list[IntegrityConstraint]:
+    """Constraint objects, notation strings (``"A -> B; C ~ D"``), or
+    iterables mixing both, normalized to a list of constraints.
+
+    Raises :class:`TypeError` for an item that is neither."""
+    if spec is None:
+        return []
+    if isinstance(spec, IntegrityConstraint):
+        return [spec]
+    if isinstance(spec, str):
+        return parse_constraints(spec)
+    out: list[IntegrityConstraint] = []
+    for item in spec:
+        if isinstance(item, IntegrityConstraint):
+            out.append(item)
+        elif isinstance(item, str):
+            out.extend(parse_constraints(item))
+        else:
+            raise TypeError(
+                "constraints must be IntegrityConstraint objects or notation "
+                f"strings, got {type(item).__name__}"
+            )
+    return out
+
+
 def coerce_repository(
-    constraints: "ConstraintRepository | Iterable[IntegrityConstraint] | None",
+    constraints: (
+        "ConstraintRepository | Iterable[IntegrityConstraint | str] | str | None"
+    ),
 ) -> ConstraintRepository:
-    """Accept a repository, an iterable of constraints, or ``None`` (empty)
-    and return a :class:`ConstraintRepository`. Used across the public API
-    so callers can pass plain lists."""
+    """Accept a repository, ``None`` (empty), or anything
+    :func:`coerce_constraints` accepts, and return a
+    :class:`ConstraintRepository`. Every public constraint argument goes
+    through here, so callers can pass plain lists or notation strings."""
     if constraints is None:
         return ConstraintRepository()
     if isinstance(constraints, ConstraintRepository):
         return constraints
-    return ConstraintRepository(constraints)
+    return ConstraintRepository(coerce_constraints(constraints))

@@ -176,7 +176,7 @@ def _assemble_certificate(
     """
     from ..certify.witness import Certificate, VirtualRow, WitnessStep
     from .edges import EdgeKind
-    from .fingerprint import fingerprint
+    from .fingerprint import fingerprint, subtree_keys
 
     steps: list[WitnessStep] = []
     if result.cdm is not None:
@@ -208,7 +208,10 @@ def _assemble_certificate(
                 )
             )
     return Certificate(
-        fingerprint=fingerprint(input_pattern),
+        # Unmemoized: the input is the caller's pattern.
+        fingerprint=fingerprint(
+            input_pattern, keys=subtree_keys(input_pattern, memoize=False)
+        ),
         closure_digest=closure_digest,
         input_size=input_pattern.size,
         output_size=result.pattern.size,

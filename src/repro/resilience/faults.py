@@ -29,11 +29,6 @@ point               kinds                          armed by
                                                    pickle-fallback path)
 ``protocol.send``   ``truncate``, ``garbage``,     the JSON-lines protocol, once per
                     ``broken_pipe``                response write
-``shard.kill``      ``kill``                       :class:`repro.shard.ShardManager`,
-                                                   once per dispatched request;
-                                                   SIGKILLs the target shard
-                                                   process (the manager respawns
-                                                   it and requeues lost work)
 ``store.write``     ``fail``, ``slow``             the persistent store's
                                                    write-behind thread
                                                    (:class:`repro.store.PersistentStore`),
@@ -102,7 +97,6 @@ FAULT_POINTS: dict[str, tuple[str, ...]] = {
     "batcher.flush": ("stall",),
     "executor.pickle": ("fail",),
     "protocol.send": ("truncate", "garbage", "broken_pipe"),
-    "shard.kill": ("kill",),
     "store.write": ("fail", "slow"),
     "store.compact": ("kill", "fail"),
     "store.tamper": ("drop", "retype"),

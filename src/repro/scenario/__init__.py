@@ -4,7 +4,7 @@ One :class:`ScenarioSpec` (op mix, Zipf query popularity over
 fingerprint families, arrival shape, multi-tenant weights, live IC
 churn) plus one seed fully determines an event stream;
 :func:`run_scenario` replays it against an in-process session, the
-micro-batching service, a sharded fleet, or a running ``repro-serve``,
+micro-batching service, or a running ``repro-serve``,
 and the resulting event-log digest is byte-identical across all of
 them. See :mod:`repro.scenario.runner` for the determinism contract.
 """

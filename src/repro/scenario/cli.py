@@ -4,7 +4,7 @@ Examples::
 
     repro-scenario run docs/scenarios/steady-state.json
     repro-scenario run docs/scenarios/churn-heavy.json --target service --verify
-    repro-scenario run spec.json --target shards:2 --repeat 2
+    repro-scenario run spec.json --target service --repeat 2
     repro-scenario run spec.json --target tcp:127.0.0.1:8777 --events out.jsonl
     repro-scenario plan docs/scenarios/burst.json
     repro-scenario validate my-spec.json
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--target",
         default="session",
-        help="session | service | shards:N | tcp:HOST:PORT (default session)",
+        help="session | service | tcp:HOST:PORT (default session)",
     )
     run.add_argument(
         "--repeat",

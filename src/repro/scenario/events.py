@@ -7,7 +7,7 @@ op, tenant, family, arrival offset, and a payload of result content
 Nondeterministic observations (cache hits, timings, queue depths,
 counters) live in the run report, never in events, so the same spec and
 seed produce a byte-identical event log on every backend: in-process
-session, micro-batching service, sharded fleet, or a TCP server — the
+session, micro-batching service, or a TCP server — the
 replay-determinism gate is ``event_log_digest`` equality.
 """
 

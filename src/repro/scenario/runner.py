@@ -14,8 +14,6 @@ Targets (the ``target`` argument):
   reference serial backend);
 * ``"service"`` — a live :class:`~repro.service.MinimizationService`
   (micro-batching, deadline shedding — the single-process server);
-* ``"shards:N"`` — an in-process :class:`~repro.shard.ShardManager`
-  fleet of N worker processes with fingerprint-affinity routing;
 * ``"tcp:HOST:PORT"`` — an already-running ``repro-serve`` instance
   over the JSON-lines protocol (the runner checks the server's
   constraint digest against the spec's before sending traffic).
@@ -27,10 +25,10 @@ Execution modes:
   log because each request's constraint environment is exact.
 * **paced** (``paced=True``) — requests between two churn events run
   concurrently (optionally sleeping out the arrival offsets scaled by
-  ``time_scale``), which exercises micro-batching and shard routing
-  for real. Churn events are barriers — all in-flight requests finish
-  under the old closure before the update applies — so the event log
-  digest is *still* identical to the sequential run.
+  ``time_scale``), which exercises micro-batching for real. Churn
+  events are barriers — all in-flight requests finish under the old
+  closure before the update applies — so the event log digest is
+  *still* identical to the sequential run.
 
 Live IC churn: ``ic-update`` events toggle constraints from the spec's
 churn pool (active → drop, inactive → add) on the live target through
@@ -327,32 +325,6 @@ class _ServiceTarget:
         await self._service.aclose()
 
 
-class _ShardTarget:
-    """An in-process sharded fleet (N worker processes)."""
-
-    kind = "shards"
-
-    def __init__(self, constraints, options: MinimizeOptions, shards: int) -> None:
-        from ..shard.manager import ShardManager
-
-        self._manager = ShardManager(options, constraints=constraints, shards=shards)
-
-    async def start(self) -> None:
-        await self._manager.start()
-
-    async def minimize(self, pattern: TreePattern) -> "tuple[str, list]":
-        return _normalize_result(await self._manager.submit(pattern))
-
-    async def update_constraints(self, add, drop) -> dict:
-        return await self._manager.update_constraints(add=add, drop=drop)
-
-    def counters(self) -> dict:
-        return self._manager.counters()
-
-    async def aclose(self) -> None:
-        await self._manager.aclose()
-
-
 class _TcpTarget:
     """A running ``repro-serve`` over the JSON-lines protocol."""
 
@@ -408,14 +380,11 @@ def _make_target(target: str, constraints, options: MinimizeOptions):
         return _SessionTarget(constraints, options)
     if target == "service":
         return _ServiceTarget(constraints, options)
-    if target.startswith("shards:"):
-        shards = int(target.split(":", 1)[1])
-        return _ShardTarget(constraints, options, shards)
     if target.startswith("tcp:"):
         _, host, port = target.split(":", 2)
         return _TcpTarget(constraints, host, int(port))
     raise ScenarioError(
-        f"unknown target {target!r} (expected session, service, shards:N, "
+        f"unknown target {target!r} (expected session, service, "
         "or tcp:HOST:PORT)"
     )
 
@@ -738,8 +707,8 @@ class ScenarioRunner:
                 "old_digest": result.get("old_digest"),
                 "new_digest": served_digest,
                 "changed": bool(result.get("changed")),
-                # Stripped before hashing: nondeterministic across
-                # backends (memo contents differ per shard layout).
+                # Stripped before hashing: cache sizes depend on what
+                # the backend served before (a long-lived tcp server).
                 "_invalidated": int(result.get("invalidated_replays", 0)),
                 "_surviving": int(result.get("surviving_oracle_entries", 0)),
             },

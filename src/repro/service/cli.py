@@ -8,20 +8,20 @@ Examples::
     # A long-lived TCP endpoint with warm workers:
     repro-serve --tcp 127.0.0.1:8777 --jobs 4 -C ics.txt
 
-    # A sharded fleet: one Session per core, fingerprint-affinity routed:
-    repro-serve --tcp 127.0.0.1:8777 --shards auto -C ics.txt
-
     # Tighter batching for latency-sensitive clients:
     repro-serve --max-wait 0.002 --max-batch-size 8
 
     # Chaos mode — replay a deterministic fault plan over TCP:
     repro-serve --tcp 127.0.0.1:0 --fault-plan seed:42 --max-batch-size 1
 
+Everything runs in one process: protocol, micro-batcher, one
+:class:`~repro.api.Session` and (with ``--store``) its single store
+writer. ``--jobs N`` is the one way to put several cores to work: the
+session's worker pool minimizes a batch's distinct queries.
+
 Lifecycle: SIGTERM and SIGINT trigger a **graceful drain** — the server
 stops accepting new requests/connections, flushes every in-flight
-response, releases the worker pool, and exits 0. With ``--shards``,
-SIGHUP triggers a **rolling restart**: shards drain, restart, and
-rejoin the ring warm, one at a time, while the fleet keeps serving.
+response, releases the worker pool, and exits 0.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from ..constraints.model import parse_constraints
 from ..errors import ReproError
 from ..matching.evaluator import ENGINES
 from ..resilience.faults import FaultPlan
-from ..shard import SHARD_POLICIES, ShardManager, resolve_shards
 from ..tools.minimize_cli import _jobs_arg
 from .protocol import serve_stdio, serve_tcp
 from .service import MinimizationService
@@ -101,27 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the containment-oracle cache for served requests",
     )
     parser.add_argument(
-        "--shards",
-        type=_shards_arg,
-        default=None,
-        metavar="N",
-        help=(
-            "serve through N worker processes with fingerprint-affinity "
-            "routing ('auto' = cores minus one for the front-end; 0/1 or "
-            "a single-core 'auto' degrade to the single-process service)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-policy",
-        choices=SHARD_POLICIES,
-        default="overflow",
-        help=(
-            "shard routing: 'affinity' (strict ring), 'overflow' (spill "
-            "cache-miss traffic off hot shards; default), or "
-            "'round-robin' (ignore fingerprints — benchmarking baseline)"
-        ),
-    )
-    parser.add_argument(
         "--max-batch-size",
         type=int,
         default=16,
@@ -162,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "persistent content-addressed cache file (SQLite; created on "
             "first use): warm-starts the replay memo on boot and "
-            "write-behinds new results. In sharded mode the front-end is "
-            "the single writer and every shard reads the same file"
+            "write-behinds new results"
         ),
     )
     parser.add_argument(
@@ -200,21 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _shards_arg(value: str):
-    """``--shards`` values: a non-negative int or the string 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        count = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"--shards expects an integer or 'auto', got {value!r}"
-        ) from exc
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"--shards must be >= 0, got {count}")
-    return count
-
-
 def _parse_fault_plan(spec: str) -> FaultPlan:
     if spec.startswith("@"):
         spec = Path(spec[1:]).read_text()
@@ -246,65 +208,24 @@ async def _serve(args: argparse.Namespace) -> int:
         certify=args.certify,
         audit_rate=args.audit_rate,
     )
-    n_shards = resolve_shards(args.shards)
-    if n_shards:
-        service = ShardManager(
-            options,
-            constraints=constraints,
-            shards=n_shards,
-            policy=args.shard_policy,
-            max_batch_size=args.max_batch_size,
-            max_queue=args.max_queue,
-            default_timeout=args.timeout,
-        )
-        print(
-            f"repro-serve sharded: {n_shards} shards, "
-            f"policy={args.shard_policy}",
-            file=sys.stderr,
-            flush=True,
-        )
-    else:
-        if args.shards is not None:
-            # --shards 0/1 or single-core 'auto': the single-process
-            # service outperforms a 1-shard wrapper (no pipe hop).
-            print(
-                "repro-serve: sharding disabled "
-                "(resolved to < 2 shards); single-process service",
-                file=sys.stderr,
-                flush=True,
-            )
-        service = MinimizationService(
-            options,
-            constraints=constraints,
-            max_batch_size=args.max_batch_size,
-            max_wait=args.max_wait,
-            max_queue=args.max_queue,
-            default_timeout=args.timeout,
-        )
+    service = MinimizationService(
+        options,
+        constraints=constraints,
+        max_batch_size=args.max_batch_size,
+        max_wait=args.max_wait,
+        max_queue=args.max_queue,
+        default_timeout=args.timeout,
+    )
 
     # Graceful drain on SIGTERM/SIGINT: stop accepting, flush in-flight
     # responses, release the pool, exit 0.
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     installed: list[signal.Signals] = []
-    restart_tasks: set[asyncio.Task] = set()
-
-    def _on_sighup() -> None:
-        # Rolling restart in the background; the fleet keeps serving.
-        task = asyncio.ensure_future(service.rolling_restart())
-        restart_tasks.add(task)
-        task.add_done_callback(restart_tasks.discard)
-
     for sig in (signal.SIGTERM, signal.SIGINT):
         with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
             loop.add_signal_handler(sig, stop.set)
             installed.append(sig)
-    if n_shards:
-        with contextlib.suppress(
-            NotImplementedError, RuntimeError, ValueError, AttributeError
-        ):
-            loop.add_signal_handler(signal.SIGHUP, _on_sighup)
-            installed.append(signal.SIGHUP)
     try:
         async with service:
             if args.tcp is not None:
@@ -325,10 +246,6 @@ async def _serve(args: argparse.Namespace) -> int:
         if stop.is_set():
             print("repro-serve drained, exiting", file=sys.stderr, flush=True)
     finally:
-        for task in restart_tasks:
-            task.cancel()
-        if restart_tasks:
-            await asyncio.gather(*restart_tasks, return_exceptions=True)
         for sig in installed:
             with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
                 loop.remove_signal_handler(sig)

@@ -20,8 +20,7 @@ Request objects::
     {"op": "stats", "id": 2}
     {"op": "faults", "id": 3}
     {"op": "ping", "id": 4}
-    {"op": "restart", "id": 5}   # sharded backends only: rolling restart
-    {"op": "constraints", "id": 6,        # live integrity-constraint churn
+    {"op": "constraints", "id": 5,        # live integrity-constraint churn
      "add": ["Book -> Title"],            # optional notation strings
      "drop": ["Book ->> Chapter"]}        # optional notation strings
 
@@ -35,21 +34,15 @@ Responses::
 
 ``result`` for ``minimize`` is exactly the unified
 :meth:`repro.api.QueryResult.to_json` shape the CLIs' ``--json`` mode
-emits; ``stats`` returns the service's flat counter dict (fleet-wide
-and per-shard when the backend is a :class:`~repro.shard.ShardManager`);
+emits; ``stats`` returns the service's flat counter dict;
 ``faults`` returns the fired fault-injection events (``{"fired":
 [[point, kind, hit], ...]}``); ``ping`` returns ``{"pong": true}``;
-``restart`` triggers a rolling shard restart and returns
-``{"restarted": n}`` (an error on non-sharded backends);
 ``constraints`` with ``add``/``drop`` lists applies a live IC update
 (ordered exactly against in-flight requests) and returns
 :meth:`repro.api.ConstraintUpdateResult.to_json`, while a bare
 ``{"op": "constraints"}`` just reports the current repository's
-digest / closure size / update count.
-
-The handler duck-types its backend: anything with the service's
-``submit``/``stats``/``counters``/``fault_events`` surface works, which
-is how the sharded front-end slots in without protocol changes.
+digest / closure size / update count. Any other op is answered with
+an ``ok: false`` error.
 
 Robustness contract: a malformed line (bad JSON, garbage bytes, wrong
 shape) or an oversized line (over :data:`MAX_LINE_BYTES`) produces a
@@ -150,29 +143,13 @@ async def handle_line(service: MinimizationService, line: str) -> Optional[dict]
         if op == "ping":
             return {"id": request_id, "ok": True, "result": {"pong": True}}
         if op == "stats":
-            # Sharded backends refresh fleet counters asynchronously
-            # (a stats round-trip to every live shard).
-            counters_async = getattr(service, "counters_async", None)
-            counters = (
-                await counters_async()
-                if counters_async is not None
-                else service.counters()
-            )
-            return {"id": request_id, "ok": True, "result": counters}
+            return {"id": request_id, "ok": True, "result": service.counters()}
         if op == "faults":
             return {
                 "id": request_id,
                 "ok": True,
                 "result": {"fired": service.fault_events()},
             }
-        if op == "restart":
-            rolling_restart = getattr(service, "rolling_restart", None)
-            if rolling_restart is None:
-                raise ValueError(
-                    "restart requires a sharded backend (repro-serve --shards)"
-                )
-            restarted = await rolling_restart()
-            return {"id": request_id, "ok": True, "result": {"restarted": restarted}}
         if op == "constraints":
             add = request.get("add")
             drop = request.get("drop")
@@ -191,11 +168,7 @@ async def handle_line(service: MinimizationService, line: str) -> Optional[dict]
                     "result": service.constraints_info(),
                 }
             update = await service.update_constraints(add=add, drop=drop)
-            # Single-process backends return a ConstraintUpdateResult;
-            # the sharded manager returns its aggregate dict directly.
-            to_json = getattr(update, "to_json", None)
-            result = to_json() if callable(to_json) else update
-            return {"id": request_id, "ok": True, "result": result}
+            return {"id": request_id, "ok": True, "result": update.to_json()}
         if op == "minimize":
             fmt = request.get("format", "xpath")
             parser = _PARSERS.get(fmt)
@@ -216,7 +189,7 @@ async def handle_line(service: MinimizationService, line: str) -> Optional[dict]
             return {"id": request_id, "ok": True, "result": result.to_json(fmt=fmt)}
         raise ValueError(
             f"unknown op {op!r} "
-            "(expected minimize/stats/faults/ping/restart/constraints)"
+            "(expected minimize/stats/faults/ping/constraints)"
         )
     except (ReproError, ValueError, TimeoutError, asyncio.TimeoutError) as exc:
         return _error_response(request_id, exc)
@@ -231,10 +204,9 @@ async def handle_line(service: MinimizationService, line: str) -> Optional[dict]
 def _draw_send_fault(service: MinimizationService):
     """The ``protocol.send`` fault to execute for the next response
     write, if the service's fault plan says one fires."""
-    injector = getattr(service, "injector", None)
-    if injector is None:
+    if service.injector is None:
         return None
-    return injector.draw("protocol.send")
+    return service.injector.draw("protocol.send")
 
 
 async def handle_connection(

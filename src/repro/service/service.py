@@ -115,28 +115,6 @@ class LatencyHistogram:
                 return lower + (upper - lower) * into
         return self.max_seconds  # pragma: no cover - unreachable
 
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Absorb ``other``'s samples into this histogram (bucket-wise
-        sum); returns ``self`` for chaining.
-
-        Merging requires identical bucket bounds — the only way a
-        bucket-wise sum is a faithful histogram of the union of
-        samples. The sharded serving tier relies on this to report
-        fleet-wide p50/p95/p99 across per-shard histograms.
-        """
-        if self.BOUNDS != other.BOUNDS:
-            raise ValueError(
-                "cannot merge histograms with different bucket bounds: "
-                f"{self.BOUNDS} vs {other.BOUNDS}"
-            )
-        for index, bucket_count in enumerate(other._buckets):
-            self._buckets[index] += bucket_count
-        self.count += other.count
-        self.sum_seconds += other.sum_seconds
-        if other.max_seconds > self.max_seconds:
-            self.max_seconds = other.max_seconds
-        return self
-
     def counters(self, prefix: str = "latency") -> dict[str, float]:
         """The histogram as a flat dict (for JSON reports)."""
         out: dict[str, float] = {}
@@ -186,9 +164,9 @@ class ServiceStats:
     #: unless a client surface feeds it (the breaker lives client-side).
     breaker_opens: int = 0
     #: Certification/audit pipeline (mirrored from the session so the
-    #: fleet aggregate and the ``stats`` protocol op expose them
-    #: first-class): served answers re-verified by the sampling auditor
-    #: or the synchronous ``certify`` path; answers whose proof failed
+    #: ``stats`` protocol op exposes them first-class): served answers
+    #: re-verified by the sampling auditor or the synchronous
+    #: ``certify`` path; answers whose proof failed
     #: (each also quarantines the offending cache record — the wrong
     #: answer is never served again); records deleted by quarantine.
     audited: int = 0
@@ -217,40 +195,6 @@ class ServiceStats:
     def mean_batch_size(self) -> float:
         """Average micro-batch occupancy (1.0 = no batching happened)."""
         return self.batched_requests / self.batches if self.batches else 0.0
-
-    #: Integer counter fields summed by :meth:`aggregate` (everything
-    #: except the histograms, the backend dict, and the watermark).
-    _SUMMED_FIELDS = (
-        "submitted", "completed", "rejected", "timed_out", "cancelled",
-        "failed", "sheds", "faults_injected", "watchdog_kills",
-        "client_retries", "ic_updates", "breaker_opens", "audited",
-        "audit_failures", "quarantined_records", "batches",
-        "flushes_full", "flushes_deadline", "flushes_churn",
-        "flushes_drain", "batched_requests",
-    )
-
-    @classmethod
-    def aggregate(cls, parts: "Sequence[ServiceStats]") -> "ServiceStats":
-        """One fleet-wide view of several per-shard/per-process stats.
-
-        Counter fields sum, the latency/queue-wait histograms merge
-        bucket-wise (so fleet p50/p95/p99 are real quantiles over the
-        union of samples, not averages of quantiles), backend counters
-        sum key-wise, and ``queue_high_watermark`` takes the max (the
-        deepest any one queue ever got). The inputs are not mutated.
-        """
-        out = cls()
-        for part in parts:
-            for name in cls._SUMMED_FIELDS:
-                setattr(out, name, getattr(out, name) + getattr(part, name))
-            if part.queue_high_watermark > out.queue_high_watermark:
-                out.queue_high_watermark = part.queue_high_watermark
-            out.latency.merge(part.latency)
-            out.queue_wait.merge(part.queue_wait)
-            for key, value in part.backend_counters.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    out.backend_counters[key] = out.backend_counters.get(key, 0) + value
-        return out
 
     def counters(self) -> dict[str, float]:
         """The stats as a flat dict (for JSON reports and the protocol's

@@ -3,12 +3,11 @@
 Every performance layer built since the batch backend keys its work on
 *content fingerprints* — the minimization replay memo
 (:class:`~repro.batch.minimizer.BatchMinimizer`), the containment-oracle
-DP tables (:class:`~repro.core.oracle_cache.ContainmentOracleCache`),
-and the shard tier's affinity routing — yet all of that state dies with
-the process. For the repeated-structure streams that dominate real
-workloads, the corpus of distinct tree-pattern structures *is* the
-durable asset of the service: :class:`PersistentStore` keeps it across
-restarts.
+DP tables (:class:`~repro.core.oracle_cache.ContainmentOracleCache`)
+— yet all of that state dies with the process. For the
+repeated-structure streams that dominate real workloads, the corpus of
+distinct tree-pattern structures *is* the durable asset of the service:
+:class:`PersistentStore` keeps it across restarts.
 
 Design (DESIGN.md §9):
 
@@ -33,12 +32,9 @@ Design (DESIGN.md §9):
   commits them in batches (one transaction per batch). SQLite runs in
   WAL mode with a generous ``mmap_size``, so concurrent readers see
   committed batches immediately and reads are page-cache friendly.
-* **Single writer.** Exactly one process writes a store file. The
-  sharded tier opens per-worker stores in **read-only** mode; worker
-  ``put`` calls spool locally (:meth:`PersistentStore.drain_spooled`)
-  and the shard manager — the single writer — applies them
-  (:meth:`PersistentStore.apply_rows`). Within one process the
-  write-behind thread is the only writer connection.
+* **Single writer.** The serving process owns its store file, and
+  within it the write-behind thread is the only writer connection.
+  Worker-pool processes never open the store.
 * **Bounded growth.** The writer prunes the oldest records beyond
   ``max_records``; :meth:`PersistentStore.compact` prunes and
   checkpoints/vacuums on demand. Both paths are armed with the
@@ -102,8 +98,7 @@ class StoreStats:
     IC-churn invalidation at work. Write-side: ``writes`` are records
     committed, ``write_batches`` the transactions that carried them,
     ``write_failures`` batches dropped by fault/IO errors (degradation,
-    never an error), ``pruned`` records deleted by the growth bound,
-    ``spooled``/``applied`` the read-only → single-writer hand-off;
+    never an error), ``pruned`` records deleted by the growth bound;
     ``quarantined`` counts records deleted by a failed certificate audit
     (:meth:`PersistentStore.quarantine` — a checksum-valid record whose
     witness no longer proves its answer is *semantic* corruption and is
@@ -123,9 +118,6 @@ class StoreStats:
     warm_loaded: int = 0
     compactions: int = 0
     compact_failures: int = 0
-    spooled: int = 0
-    spool_dropped: int = 0
-    applied: int = 0
 
     @property
     def lookups(self) -> int:
@@ -154,9 +146,6 @@ class StoreStats:
             "store_warm_loaded": self.warm_loaded,
             "store_compactions": self.compactions,
             "store_compact_failures": self.compact_failures,
-            "store_spooled": self.spooled,
-            "store_spool_dropped": self.spool_dropped,
-            "store_applied": self.applied,
         }
 
 
@@ -177,13 +166,8 @@ class PersistentStore:
     Parameters
     ----------
     path:
-        The SQLite database file. Created (with parent directories) on
-        first writable open; a missing file in read-only mode yields an
-        always-miss store rather than an error.
-    read_only:
-        Open without a writer (the shard-worker mode): ``get`` serves
-        committed records, ``put`` spools locally for the single writer
-        to apply (:meth:`drain_spooled` → :meth:`apply_rows`).
+        The SQLite database file, created (with parent directories)
+        when missing.
     max_records:
         Growth bound; the writer prunes oldest-first beyond it.
     batch_size / flush_interval:
@@ -203,12 +187,10 @@ class PersistentStore:
         self,
         path: "str | os.PathLike[str]",
         *,
-        read_only: bool = False,
         max_records: int = 200_000,
         batch_size: int = 64,
         flush_interval: float = 0.05,
         warm_limit: int = 256,
-        spool_limit: int = 4096,
         stats: Optional[StoreStats] = None,
         injector: "Optional[FaultInjector]" = None,
     ) -> None:
@@ -217,41 +199,31 @@ class PersistentStore:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.path = os.fspath(path)
-        self.read_only = read_only
         self.max_records = max_records
         self.batch_size = batch_size
         self.flush_interval = flush_interval
         self.warm_limit = warm_limit
-        self.spool_limit = spool_limit
         self.stats = stats if stats is not None else StoreStats()
         self.injector = injector
         self._closed = False
         self._read_lock = threading.Lock()
-        self._spool: "list[tuple[str, str, str, int, str, bytes]]" = []
-        self._spool_lock = threading.Lock()
         self._queue: "queue_module.Queue" = queue_module.Queue()
-        self._writer_thread: Optional[threading.Thread] = None
-        self._read_conn: Optional[sqlite3.Connection] = None
 
-        if read_only:
-            self._read_conn = self._open_reader(must_exist=False)
-        else:
-            directory = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(directory, exist_ok=True)
-            # Schema creation runs on a short-lived writable connection so
-            # readers (this process's and other processes') can open
-            # immediately; the writer thread owns the long-lived write
-            # connection.
-            conn = self._connect(self.path)
-            try:
-                self._init_schema(conn)
-            finally:
-                conn.close()
-            self._read_conn = self._open_reader(must_exist=True)
-            self._writer_thread = threading.Thread(
-                target=self._writer_loop, name="repro-store-writer", daemon=True
-            )
-            self._writer_thread.start()
+        directory = os.path.dirname(os.path.abspath(self.path))
+        os.makedirs(directory, exist_ok=True)
+        # Schema creation runs on a short-lived writable connection so the
+        # reader can open immediately; the writer thread owns the
+        # long-lived write connection.
+        conn = self._connect(self.path)
+        try:
+            self._init_schema(conn)
+        finally:
+            conn.close()
+        self._read_conn: Optional[sqlite3.Connection] = self._open_reader()
+        self._writer_thread = threading.Thread(
+            target=self._writer_loop, name="repro-store-writer", daemon=True
+        )
+        self._writer_thread.start()
 
     # ------------------------------------------------------------------
     # Connections / schema
@@ -265,11 +237,7 @@ class PersistentStore:
         conn.execute("PRAGMA busy_timeout=5000")
         return conn
 
-    def _open_reader(self, *, must_exist: bool) -> Optional[sqlite3.Connection]:
-        if not os.path.exists(self.path):
-            if must_exist:  # pragma: no cover - schema open just created it
-                raise FileNotFoundError(self.path)
-            return None  # read-only store over a missing file: always miss
+    def _open_reader(self) -> sqlite3.Connection:
         conn = self._connect(f"file:{self.path}?mode=ro", uri=True)
         # WAL readers don't block the writer (and vice versa); mmap makes
         # repeated record reads page-cache lookups.
@@ -303,15 +271,10 @@ class PersistentStore:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    @property
-    def writable(self) -> bool:
-        """Whether this instance owns the write path."""
-        return not self.read_only
-
     def flush(self, timeout: Optional[float] = None) -> None:
-        """Block until every queued write has been committed (no-op for
-        read-only stores). ``timeout`` bounds the wait."""
-        if self.read_only or self._closed:
+        """Block until every queued write has been committed.
+        ``timeout`` bounds the wait."""
+        if self._closed:
             return
         done = threading.Event()
         self._queue.put(("barrier", done))
@@ -321,10 +284,9 @@ class PersistentStore:
         """Flush pending writes and release connections (idempotent)."""
         if self._closed:
             return
-        if not self.read_only and self._writer_thread is not None:
-            self.flush(timeout=10.0)
-            self._queue.put(_WRITER_STOP)
-            self._writer_thread.join(timeout=10.0)
+        self.flush(timeout=10.0)
+        self._queue.put(_WRITER_STOP)
+        self._writer_thread.join(timeout=10.0)
         self._closed = True
         if self._read_conn is not None:
             try:
@@ -340,7 +302,7 @@ class PersistentStore:
         self.close()
 
     def __len__(self) -> int:
-        """Committed record count (0 for a missing read-only file)."""
+        """Committed record count."""
         row = self._select_one("SELECT COUNT(*) FROM records", ())
         return int(row[0]) if row else 0
 
@@ -363,8 +325,8 @@ class PersistentStore:
 
         Never raises for a bad record: a missing row, a format-version
         mismatch, a checksum failure, or an unpicklable payload all
-        degrade to a counted miss (and the bad row is queued for
-        deletion when this store owns the write path).
+        degrade to a counted miss, and the bad row is queued for
+        deletion.
         """
         row = self._select_one(
             "SELECT fmt, checksum, payload FROM records "
@@ -407,63 +369,16 @@ class PersistentStore:
             self.stats.invalidations += 1
 
     def put(self, kind: str, key: str, closure: str, obj: object) -> None:
-        """Record ``obj`` under ``(kind, key, closure)`` (write-behind).
-
-        Writable stores enqueue for the background writer (serialization
-        happens off the serving path); read-only stores serialize now and
-        spool for the single writer (:meth:`drain_spooled`).
-        """
+        """Record ``obj`` under ``(kind, key, closure)`` (write-behind:
+        the background writer serializes and commits it, off the serving
+        path)."""
         if self._closed:
-            return
-        if self.read_only:
-            try:
-                payload, checksum = _encode(obj)
-            except Exception:  # noqa: BLE001 - unpicklable: drop, never raise
-                self.stats.write_failures += 1
-                return
-            with self._spool_lock:
-                if len(self._spool) >= self.spool_limit:
-                    self._spool.pop(0)
-                    self.stats.spool_dropped += 1
-                self._spool.append(
-                    (kind, key, closure, STORE_FORMAT, checksum, payload)
-                )
-                self.stats.spooled += 1
             return
         self._queue.put(("put", kind, key, closure, obj))
 
     def _discard(self, kind: str, key: str, closure: str) -> None:
-        if not self.read_only and not self._closed:
+        if not self._closed:
             self._queue.put(("delete", kind, key, closure))
-
-    # ------------------------------------------------------------------
-    # Read-only spool → single-writer hand-off
-    # ------------------------------------------------------------------
-
-    def drain_spooled(self) -> "list[tuple[str, str, str, int, str, bytes]]":
-        """Take (and clear) the locally spooled rows — ready-to-commit
-        ``(kind, key, closure, fmt, checksum, payload)`` tuples the
-        single writer ingests via :meth:`apply_rows`."""
-        with self._spool_lock:
-            spooled, self._spool = self._spool, []
-        return spooled
-
-    def apply_rows(self, rows) -> None:
-        """Ingest pre-serialized rows (a read-only peer's spool) on the
-        write path. Malformed rows are dropped and counted."""
-        if self.read_only or self._closed:
-            return
-        for row in rows:
-            try:
-                kind, key, closure, fmt, checksum, payload = row
-            except (TypeError, ValueError):
-                self.stats.write_failures += 1
-                continue
-            if fmt != STORE_FORMAT or not isinstance(payload, bytes):
-                self.stats.write_failures += 1
-                continue
-            self._queue.put(("row", kind, key, closure, fmt, checksum, payload))
-            self.stats.applied += 1
 
     # ------------------------------------------------------------------
     # Typed record families
@@ -512,9 +427,7 @@ class PersistentStore:
         checksum verified (the bytes are what the writer committed) but
         its witness certificate no longer proves the recorded recipe, so
         it must never be served. The row is queued for deletion on the
-        write path and counted (``StoreStats.quarantined``); read-only
-        stores can only count — the single writer quarantines on its own
-        next audit of the same record.
+        write path and counted (``StoreStats.quarantined``).
         """
         self.stats.quarantined += 1
         self._discard(KIND_MINIMIZATION, fingerprint, closure_digest)
@@ -522,7 +435,7 @@ class PersistentStore:
     def quarantine_oracle(self, source_digest: str, target_digest: str) -> None:
         """Delete one ``oracle`` record whose DP table failed the
         independent checker — the oracle-tier analogue of
-        :meth:`quarantine` (same counting, same read-only semantics)."""
+        :meth:`quarantine` (same counting)."""
         self.stats.quarantined += 1
         self._discard(KIND_ORACLE, f"{source_digest}:{target_digest}", "")
 
@@ -608,7 +521,7 @@ class PersistentStore:
         vacuum. Runs on the writer thread (single-writer rule); blocks
         until done. The ``store.compact`` fault point fires mid-
         transaction, so a killed compaction rolls back cleanly."""
-        if self.read_only or self._closed:
+        if self._closed:
             return
         self._queue.put(("compact", max_records))
         self.flush(timeout=60.0)
@@ -726,28 +639,6 @@ class PersistentStore:
                     "(kind, key, closure, fmt, checksum, payload) "
                     "VALUES (?, ?, ?, ?, ?, ?)",
                     (kind, key, closure, STORE_FORMAT, checksum, payload),
-                )
-                written += 1
-            elif op == "row":
-                _, kind, key, closure, fmt, checksum, payload = message
-                if kind == KIND_MINIMIZATION and self.injector is not None:
-                    # store.tamper covers every write path that commits a
-                    # min record — including pre-serialized rows spooled
-                    # by read-only peers (the sharded fleet): decode,
-                    # mutate, re-encode, so the committed checksum stays
-                    # valid over the wrong bytes.
-                    try:
-                        obj = pickle.loads(payload)
-                        tampered = self._tamper(obj)
-                        if tampered is not obj:
-                            payload, checksum = _encode(tampered)
-                    except Exception:  # noqa: BLE001 - leave the row as-is
-                        pass
-                conn.execute(
-                    "INSERT OR REPLACE INTO records "
-                    "(kind, key, closure, fmt, checksum, payload) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    (kind, key, closure, fmt, checksum, payload),
                 )
                 written += 1
             elif op == "delete":

@@ -233,6 +233,43 @@ class TestSession:
         assert len(closures) <= 1
 
 
+class TestConstraintArguments:
+    """Every public constraint argument takes notation strings, and
+    rejects any item that is neither a string nor a constraint."""
+
+    QUERY = "Book*[Title][Title//Name]"
+    NOTATION = "Book -> Title; Title ->> Name"
+
+    def expected(self):
+        return minimize(parse_xpath(self.QUERY), parse_constraints(self.NOTATION))
+
+    def test_session_takes_a_notation_string(self):
+        with Session(constraints=self.NOTATION) as session:
+            result = session.minimize(parse_xpath(self.QUERY))
+        assert to_sexpr(result.pattern) == to_sexpr(self.expected().pattern)
+        assert result.removed_count == 3
+
+    def test_session_takes_a_list_of_notation_strings(self):
+        with Session(constraints=self.NOTATION.split("; ")) as session:
+            result = session.minimize(parse_xpath(self.QUERY))
+        assert to_sexpr(result.pattern) == to_sexpr(self.expected().pattern)
+
+    def test_pipeline_minimize_takes_notation_strings(self):
+        result = minimize(parse_xpath(self.QUERY), self.NOTATION.split("; "))
+        assert to_sexpr(result.pattern) == to_sexpr(self.expected().pattern)
+
+    @pytest.mark.parametrize("bad", [[1], ["Book -> Title", None], [("Book", "Title")]])
+    def test_non_constraint_items_raise_type_error(self, bad):
+        query = parse_xpath(self.QUERY)
+        with pytest.raises(TypeError, match="notation strings"):
+            minimize(query, bad)
+        with pytest.raises(TypeError, match="notation strings"):
+            Session(constraints=bad).minimize(query)
+        with Session() as session:
+            with pytest.raises(TypeError, match="notation strings"):
+                session.update_constraints(add=bad)
+
+
 class TestQueryResult:
     def test_to_json_shape(self):
         with Session(constraints=CONSTRAINTS) as session:

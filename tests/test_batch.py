@@ -176,16 +176,20 @@ class TestBatchMinimizer:
         assert len(batch) == 0 and batch.stats.queries == 0
 
     def test_no_key_table_stays_on_the_callers_patterns(self):
-        # Fresh queries and replays alike: the fingerprint's subtree-key
-        # table is per call, never memoized on a pattern the caller owns.
+        # Fresh queries and replays alike, certified or not: the
+        # fingerprint's subtree-key table is per call, never memoized on
+        # a pattern the caller owns. Certified replays re-check the
+        # memo's own copies, which keep theirs.
         queries, constraints = batch_workload(
             12, kind="mixed", distinct=3, size=12, seed=4
         )
-        minimizer = BatchMinimizer(constraints)
-        for _ in range(2):  # cold, then all replays
-            batch = minimizer.minimize_all(queries)
-            assert not any(hasattr(q, "_subtree_keys_memo") for q in queries)
-        assert batch.stats.cache_hits == 12
+        for options in (MinimizeOptions(), MinimizeOptions(certify=True)):
+            minimizer = BatchMinimizer(constraints, options)
+            for _ in range(2):  # cold, then all replays
+                batch = minimizer.minimize_all(queries)
+                assert not any(hasattr(q, "_subtree_keys_memo") for q in queries)
+            assert batch.stats.cache_hits == 12
+            assert batch.stats.certified == (12 if options.certify else 0)
 
 
 class TestExecutor:

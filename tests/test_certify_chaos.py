@@ -5,8 +5,8 @@ they mutate replay recipes while leaving every checksum valid, so only
 the certification layer (:mod:`repro.certify`) stands between a
 poisoned cache and a wrong answer. Each test here corrupts a cache tier
 under a deterministic :class:`~repro.resilience.faults.FaultPlan` and
-holds the stack — in-process sessions, the TCP service, and the sharded
-fleet — to the differential contract: every served answer is
+holds the stack — in-process sessions and the TCP service — to the
+differential contract: every served answer is
 byte-identical to the cold serial ``minimize`` loop, the corruption is
 *detected* (nonzero ``audit_failures``/``quarantined_records``), and no
 answer is served unverified (``certified`` covers every response).
@@ -30,7 +30,6 @@ from repro.parsing.xpath import parse_xpath
 from repro.resilience import AsyncServiceClient, FaultPlan, FaultSpec, RetryPolicy
 from repro.service import MinimizationService
 from repro.service.protocol import serve_tcp
-from repro.shard import ShardManager
 from repro.workloads import chaos_workload
 
 pytestmark = pytest.mark.chaos
@@ -131,11 +130,6 @@ class TestPoisonedMemo:
         results, counters = asyncio.run(scenario())
         assert_no_escapes([r["minimized"] for r in results], counters)
 
-    # Note: ``cache.poison`` cannot reach shard workers — the manager
-    # deliberately strips the fault plan from worker options (it owns
-    # chaos, and it is the store's single writer). The sharded leg of
-    # this suite therefore corrupts through ``store.tamper`` below.
-
 
 class TestTamperedStore:
     """``store.tamper``: the persistent tier commits checksum-valid lies."""
@@ -205,45 +199,6 @@ class TestTamperedStore:
 
         results, counters = asyncio.run(scenario())
         assert_no_escapes([r["minimized"] for r in results], counters)
-
-    def test_sharded_fleet_on_tampered_store(self, tmp_path):
-        """End-to-end through the fleet: a sharded run whose *manager*
-        (the single writer) tampers every spooled row it commits, then a
-        fresh certified fleet warm-starts from that store — every worker
-        detects, quarantines (read-only: counted), and recomputes."""
-        store_path = str(tmp_path / "tampered.sqlite")
-
-        async def write_phase():
-            async with ShardManager(
-                MinimizeOptions(
-                    certify=True, store_path=store_path, fault_plan=TAMPER
-                ),
-                constraints=CONSTRAINTS,
-                shards=2,
-                max_queue=256,
-            ) as manager:
-                results = [
-                    await manager.submit(parse_xpath(q)) for q in QUERIES
-                ]
-            return [to_xpath(r.pattern) for r in results]
-
-        assert asyncio.run(write_phase()) == EXPECTED  # writers never lied
-
-        async def read_phase():
-            async with ShardManager(
-                MinimizeOptions(certify=True, store_path=store_path),
-                constraints=CONSTRAINTS,
-                shards=2,
-                max_queue=256,
-            ) as manager:
-                results = [
-                    await manager.submit(parse_xpath(q)) for q in QUERIES
-                ]
-                counters = await manager.counters_async()
-            return results, counters
-
-        results, counters = asyncio.run(read_phase())
-        assert_no_escapes([to_xpath(r.pattern) for r in results], counters)
 
     def test_store_self_heals_after_quarantine(self, tmp_path):
         """After one certified pass over a tampered store, the forged

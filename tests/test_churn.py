@@ -2,7 +2,7 @@
 
 The contract under test: after *any* sequence of live
 ``update_constraints`` calls, every answer a long-lived session (or
-sharded fleet) serves is byte-identical to a cold session built
+service) serves is byte-identical to a cold session built
 directly on the post-churn constraint repository. Precise invalidation
 may keep whatever it can prove safe (the closure-free oracle tier, the
 persistent store's oracle rows) and must drop the rest (closure-keyed
@@ -11,7 +11,7 @@ bytes.
 
 Covers 200+ seeded add/drop sequences on a warm session (with and
 without the persistent store attached), churn racing in-flight
-requests on the sharded tier, the idempotence of re-applied updates,
+requests in the service, the idempotence of re-applied updates,
 and the store-counter snapshot across ``close()``.
 """
 
@@ -165,77 +165,54 @@ class TestDifferentialChurn:
             session.update_constraints(add=["a -> b"])
 
 
-class TestShardedChurn:
+class TestServiceChurn:
     def test_churn_races_inflight_requests(self):
-        """Fire a constraint update while a burst of requests is in
-        flight on a 2-shard fleet; every answer served afterwards must
-        match the cold post-churn reference, and the epoch must bump."""
-        from repro.shard import ShardManager
+        """Fire a constraint update while a burst of requests is queued
+        in the service: the burst is served under the old closure, the
+        batcher cuts its batch short for the update, and every answer
+        afterwards matches a cold session on the new constraints."""
+        from repro.service import MinimizationService
 
         base = random_query(14, seed=31)
         pool = make_pool(base, seed=63)
         assert pool
 
         async def scenario():
-            manager = ShardManager(MinimizeOptions(), constraints=[], shards=2)
-            await manager.start()
-            try:
+            # A batch stays open up to max_wait, so the burst is still
+            # accumulating when the update reaches the queue.
+            async with MinimizationService(
+                MinimizeOptions(), constraints=[], max_wait=0.5
+            ) as service:
                 inflight = [
                     asyncio.ensure_future(
-                        manager.submit(isomorphic_shuffle(base, seed=s))
+                        service.submit(isomorphic_shuffle(base, seed=s))
                     )
                     for s in range(8)
                 ]
-                update = await manager.update_constraints(add=[pool[0]])
-                await asyncio.gather(*inflight)
-                assert update["changed"] is True
-                assert update["shards_updated"] == 2
-                assert update["constraint_epoch"] == 1
-                post = [
-                    await manager.submit(isomorphic_shuffle(base, seed=100 + s))
-                    for s in range(4)
-                ]
-                counters = manager.counters()
-                assert counters["constraint_epoch"] == 1
-                return update, post
-            finally:
-                await manager.aclose()
+                await asyncio.sleep(0)  # the burst reaches the queue first
+                update = await service.update_constraints(add=[pool[0]])
+                before = await asyncio.gather(*inflight)
+                after = await asyncio.gather(
+                    *(
+                        service.submit(isomorphic_shuffle(base, seed=100 + s))
+                        for s in range(4)
+                    )
+                )
+                return update, before, after, service.counters()
 
-        update, post = asyncio.run(scenario())
+        update, before, after, counters = asyncio.run(scenario())
+        assert update.changed
+        assert counters["flushes_churn"] >= 1
+        assert counters["ic_updates"] == 1
+        with Session(MinimizeOptions()) as old:
+            for s, served in enumerate(before):
+                query = isomorphic_shuffle(base, seed=s)
+                assert norm(served) == norm(old.minimize(query))
         with Session(MinimizeOptions(), constraints=[pool[0]]) as cold:
-            assert update["new_digest"] == cold.constraints_digest()
-            for s, served in enumerate(post):
+            assert update.new_digest == cold.constraints_digest()
+            for s, served in enumerate(after):
                 query = isomorphic_shuffle(base, seed=100 + s)
                 assert norm(served) == norm(cold.minimize(query))
-
-    def test_shard_digests_agree(self):
-        """Every shard acks with the manager's digest or the update
-        raises; a successful update leaves the fleet consistent."""
-        from repro.shard import ShardManager
-
-        base = random_query(12, seed=41)
-        pool = make_pool(base, seed=83, count=2)
-        assert len(pool) == 2
-
-        async def scenario():
-            manager = ShardManager(
-                MinimizeOptions(), constraints=[pool[0]], shards=2
-            )
-            await manager.start()
-            try:
-                update = await manager.update_constraints(
-                    add=[pool[1]], drop=[pool[0]]
-                )
-                info = manager.constraints_info()
-                assert info["digest"] == update["new_digest"]
-                assert info["constraint_epoch"] == 1
-                return update
-            finally:
-                await manager.aclose()
-
-        update = asyncio.run(scenario())
-        with Session(MinimizeOptions(), constraints=[pool[1]]) as cold:
-            assert update["new_digest"] == cold.constraints_digest()
 
 
 class TestCounterSnapshots:

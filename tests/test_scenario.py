@@ -2,7 +2,7 @@
 
 Covers spec parsing/validation, plan determinism, the burst/diurnal
 arrival generators, replay determinism across backends (session vs
-service vs a 2-shard fleet, sequential vs paced), live IC churn
+service, sequential vs paced), live IC churn
 counters and cold-probe verification, and the ``repro-scenario`` CLI.
 """
 
@@ -206,11 +206,6 @@ class TestReplay:
         b = run_scenario(spec(CHURNY), target="service", paced=True)
         assert a.digest == b.digest
 
-    def test_shards_match_session(self):
-        a = run_scenario(spec(CHURNY), target="session")
-        b = run_scenario(spec(CHURNY), target="shards:2")
-        assert a.digest == b.digest
-
     def test_unknown_target_rejected(self):
         from repro.scenario.runner import ScenarioError
 
@@ -317,6 +312,14 @@ class TestCli:
         assert len(set(out["replay_digests"])) == 1
         replayed = load_events(events_path)
         assert event_log_digest(replayed) == out["digest"]
+
+    def test_run_rejects_a_fleet_target(self, capsys):
+        from pathlib import Path
+
+        pack = Path(__file__).resolve().parent.parent / "docs" / "scenarios"
+        burst = str(pack / "burst.json")
+        assert scenario_main(["run", burst, "--target", "shards:2"]) != 0
+        assert "unknown target 'shards:2'" in capsys.readouterr().err
 
     def test_run_verify_churn(self, tmp_path, capsys):
         path = self._write_spec(tmp_path, CHURNY)

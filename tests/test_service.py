@@ -514,6 +514,17 @@ class TestServeCli:
         assert args.tcp is None and args.jobs == 1
         assert args.max_batch_size == 16 and args.max_queue == 256
 
+    @pytest.mark.parametrize(
+        "argv", [["--shards", "2"], ["--shard-policy", "overflow"]]
+    )
+    def test_fleet_flags_are_rejected(self, argv, capsys):
+        from repro.service.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestProtocolHardening:
     """Malformed input must get a structured error on the same
@@ -533,6 +544,28 @@ class TestProtocolHardening:
         while "port" not in bound:
             await asyncio.sleep(0.005)
         return stop, task, bound["port"]
+
+    def test_restart_op_is_unknown_and_connection_survives(self):
+        async def scenario():
+            async with MinimizationService(constraints=CONSTRAINTS) as service:
+                stop, task, port = await self._serve(service)
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                responses = []
+                for request in ({"op": "restart", "id": 1}, {"op": "ping", "id": 2}):
+                    writer.write(json.dumps(request).encode() + b"\n")
+                    await writer.drain()
+                    line = await asyncio.wait_for(reader.readline(), 10)
+                    assert line, "connection closed early"
+                    responses.append(json.loads(line))
+                writer.close()
+                stop.set()
+                await task
+                return responses
+
+        restart, ping = run(scenario())
+        assert restart["id"] == 1 and restart["ok"] is False
+        assert "unknown op 'restart'" in restart["error"]["message"]
+        assert ping == {"id": 2, "ok": True, "result": {"pong": True}}
 
     def test_oversized_line_gets_structured_error_and_connection_survives(self):
         async def scenario():

@@ -102,13 +102,6 @@ class TestRecordPath:
         with PersistentStore(path) as store:
             assert store.get("min", "k", "d") == "value"
 
-    def test_missing_file_read_only_is_all_miss(self, tmp_path):
-        store = PersistentStore(tmp_path / "absent.db", read_only=True)
-        assert store.get("min", "k", "d") is None
-        assert store.stats.misses == 1
-        assert len(store) == 0
-        store.close()
-
     def test_closure_digest_mismatch_is_counted_invalidation(self, tmp_path):
         with PersistentStore(tmp_path / "s.db") as store:
             store.put("min", "shared-key", "digest-old", "proof")
@@ -224,43 +217,7 @@ class TestCorruptionTolerance:
 
 
 class TestWriteBehind:
-    """The async write path: batching, spooling, faults, concurrency."""
-
-    def test_spool_and_apply_rows(self, tmp_path):
-        path = tmp_path / "s.db"
-        with PersistentStore(path):
-            pass  # create the schema
-        reader = PersistentStore(path, read_only=True)
-        reader.put("min", "k", "d", "spooled-value")
-        assert reader.stats.spooled == 1
-        rows = reader.drain_spooled()
-        assert len(rows) == 1 and reader.drain_spooled() == []
-        with PersistentStore(path) as writer:
-            writer.apply_rows(rows)
-            writer.flush()
-            assert writer.stats.applied == 1
-        # A fresh read connection sees the committed spool.
-        with PersistentStore(path) as check:
-            assert check.get("min", "k", "d") == "spooled-value"
-        reader.close()
-
-    def test_spool_is_bounded(self, tmp_path):
-        path = tmp_path / "s.db"
-        with PersistentStore(path):
-            pass
-        reader = PersistentStore(path, read_only=True, spool_limit=3)
-        for i in range(10):
-            reader.put("min", f"k{i}", "d", i)
-        assert len(reader.drain_spooled()) == 3
-        assert reader.stats.spool_dropped == 7
-        reader.close()
-
-    def test_malformed_applied_rows_are_dropped(self, tmp_path):
-        with PersistentStore(tmp_path / "s.db") as writer:
-            writer.apply_rows([("too", "short"), None, 42])
-            writer.flush()
-            assert writer.stats.applied == 0
-            assert writer.stats.write_failures == 3
+    """The async write path: batching, faults, concurrency."""
 
     def test_store_write_fault_drops_batch_counted(self, tmp_path):
         plan = FaultPlan((FaultSpec(point="store.write", kind="fail", at=(1,)),))
@@ -277,9 +234,12 @@ class TestWriteBehind:
         store.close()
 
     def test_concurrent_readers_during_write_behind(self, tmp_path):
+        # Readers on the writing store itself (other threads of the same
+        # process) and on two more stores over the same file.
         path = tmp_path / "s.db"
         writer = PersistentStore(path, batch_size=8)
-        readers = [PersistentStore(path, read_only=True) for _ in range(3)]
+        others = [PersistentStore(path) for _ in range(2)]
+        readers = [writer, *others]
         errors: "list[BaseException]" = []
         stop = threading.Event()
 
@@ -306,10 +266,12 @@ class TestWriteBehind:
         stop.set()
         for t in threads:
             t.join(timeout=10)
-        writer.close()
-        for r in readers:
-            r.close()
+        for store in readers:
+            store.close()
         assert errors == []
+        with PersistentStore(path) as check:
+            stored = [check.get("min", f"k{i}", "d") for i in range(50)]
+        assert stored == list(range(50))
 
     def test_compact_prunes_and_checkpoints(self, tmp_path):
         with PersistentStore(tmp_path / "s.db") as store:
