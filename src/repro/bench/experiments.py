@@ -326,6 +326,8 @@ def fig9a(*, repeat: int = 3) -> ExperimentResult:
     node set, with growing query size.
 
     Expected shape: CDM far below ACIM, the gap widening with size.
+    Raises :class:`AssertionError` when, at any size, CDM and ACIM remove
+    different node sets.
     """
     result = ExperimentResult(
         name="fig9a",
@@ -343,12 +345,20 @@ def fig9a(*, repeat: int = 3) -> ExperimentResult:
         ],
         repeat,
     )
-    q, ics = equal_removal_query(sizes[-1])
-    repo = closure(ics)
-    same = {x[0] for x in cdm_minimize(q, repo).eliminated} == {
-        x[0] for x in acim_minimize(q, repo).eliminated
-    }
-    result.notes.append(f"CDM and ACIM remove identical node sets: {same}")
+    for size in sizes:
+        q, ics = equal_removal_query(size)
+        repo = closure(ics)
+        by_cdm = {entry[0] for entry in cdm_minimize(q, repo).eliminated}
+        by_acim = {entry[0] for entry in acim_minimize(q, repo).eliminated}
+        if by_cdm != by_acim:
+            raise AssertionError(
+                f"fig9a: at size {size} CDM removed nodes {sorted(by_cdm)} "
+                f"but ACIM removed {sorted(by_acim)}"
+            )
+    result.notes.append(
+        f"CDM and ACIM remove identical node sets at every size "
+        f"({len(by_cdm)} nodes at size {sizes[-1]}; checked)"
+    )
     return result
 
 
@@ -357,7 +367,10 @@ def fig9b(*, repeat: int = 3) -> ExperimentResult:
     remove half of what ACIM can.
 
     Expected shape: the pre-filtered pipeline always at or below direct
-    ACIM, the advantage growing with query size.
+    ACIM, the advantage growing with query size. Raises
+    :class:`AssertionError` when, at any size, CDM does not remove exactly
+    half of what direct ACIM removes, or CDM-then-ACIM is not isomorphic
+    to direct ACIM (Theorem 5.3).
     """
     result = ExperimentResult(
         name="fig9b",
@@ -380,11 +393,26 @@ def fig9b(*, repeat: int = 3) -> ExperimentResult:
         ],
         repeat,
     )
-    q, ics = half_removal_query(sizes[-1])
-    repo = closure(ics)
-    cdm_n = cdm_minimize(q, repo).removed_count
-    acim_n = acim_minimize(q, repo).removed_count
-    result.notes.append(f"CDM removes {cdm_n}, ACIM removes {acim_n} (ratio ~1/2)")
+    for size in sizes:
+        q, ics = half_removal_query(size)
+        repo = closure(ics)
+        cdm = cdm_minimize(q, repo)
+        direct = acim_minimize(q, repo)
+        if 2 * cdm.removed_count != direct.removed_count:
+            raise AssertionError(
+                f"fig9b: at size {size} CDM removed {cdm.removed_count} nodes, "
+                f"not half of direct ACIM's {direct.removed_count}"
+            )
+        if not acim_minimize(cdm.pattern, repo).pattern.isomorphic(direct.pattern):
+            raise AssertionError(
+                f"fig9b: at size {size} CDM-then-ACIM is not isomorphic to "
+                "direct ACIM (Theorem 5.3)"
+            )
+    result.notes.append(
+        f"CDM removes {cdm.removed_count}, ACIM removes {direct.removed_count} "
+        f"at size {sizes[-1]}; half at every size and CDM-then-ACIM isomorphic "
+        "to direct ACIM (checked)"
+    )
     return result
 
 

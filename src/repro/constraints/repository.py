@@ -52,7 +52,7 @@ derived constraint after the recompute.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, TypeVar
 
 from ..errors import ConstraintError, RepositoryClosedError
 from .model import ConstraintKind, IntegrityConstraint, parse_constraints
@@ -65,6 +65,10 @@ __all__ = [
 ]
 
 _T = TypeVar("_T")
+
+#: What :meth:`ConstraintRepository.sources` returns for a
+#: ``(kind, target)`` pair the reverse index does not hold.
+_NO_TYPES: frozenset[str] = frozenset()
 
 
 class ConstraintRepository:
@@ -246,11 +250,15 @@ class ConstraintRepository:
         """All ``t2`` with ``source <kind> t2`` in the repository."""
         return frozenset(self._targets.get((kind, source), ()))
 
-    def sources(self, kind: ConstraintKind, target: str) -> frozenset[str]:
+    def sources(self, kind: ConstraintKind, target: str) -> AbstractSet[str]:
         """All ``t1`` with ``t1 <kind> target`` in the repository (the
         reverse index; incremental closure applies the binary inference
-        rules through it when a new constraint is the second premise)."""
-        return frozenset(self._sources.get((kind, target), ()))
+        rules through it when a new constraint is the second premise, and
+        CDM finds a justifier by intersecting it with a node's types).
+
+        The index bucket itself, not a copy, since both read it in hot
+        loops: do not mutate it, or keep it across a write."""
+        return self._sources.get((kind, target), _NO_TYPES)
 
     def required_children_of(self, source: str) -> frozenset[str]:
         """Types required as children of ``source``."""

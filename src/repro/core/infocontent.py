@@ -118,6 +118,8 @@ class InfoContent:
 
     ``sources[arg]`` is a set of pattern node ids; SELF and constrained
     arguments carry an empty source set (they are never removal targets).
+    CDM itself works on flat per-node state (:mod:`repro.core.cdm`) and
+    renders it as an ``InfoContent`` only when asked to keep contents.
     """
 
     def __init__(self) -> None:
@@ -162,38 +164,6 @@ class InfoContent:
     def has(self, arg: InfoArg) -> bool:
         """Whether ``arg`` is (still) part of the content."""
         return arg in self._sources
-
-    def is_live(self, arg: InfoArg) -> bool:
-        """An argument can justify or be the target of a rule only while
-        live: non-removable forms always are; removable forms need at
-        least one surviving source."""
-        if arg not in self._sources:
-            return False
-        if not arg.is_removable_form:
-            return True
-        return bool(self._sources[arg])
-
-    def removable_args(self) -> list[InfoArg]:
-        """Arguments in removable form that still have sources."""
-        return [a for a in sorted(self._sources) if a.is_removable_form and self._sources[a]]
-
-    # ------------------------------------------------------------------
-    # Mutation during minimization
-    # ------------------------------------------------------------------
-
-    def drop_source(self, arg: InfoArg, source: int) -> None:
-        """Remove one source of ``arg``; the argument dies with its last
-        source."""
-        bucket = self._sources.get(arg)
-        if bucket is None:
-            return
-        bucket.discard(source)
-        if not bucket and arg.is_removable_form:
-            del self._sources[arg]
-
-    def drop(self, arg: InfoArg) -> None:
-        """Remove an argument outright."""
-        self._sources.pop(arg, None)
 
     # ------------------------------------------------------------------
     # Display

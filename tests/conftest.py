@@ -8,7 +8,8 @@ import pytest
 
 from repro import TreePattern
 from repro.constraints.closure import closure
-from repro.constraints.repository import coerce_repository
+from repro.constraints.model import parse_constraints
+from repro.constraints.repository import ConstraintRepository, coerce_repository
 from repro.core.containment import equivalent, find_containment_mapping
 from repro.core.edges import EdgeKind
 from repro.data.generate import random_satisfying_tree
@@ -71,3 +72,28 @@ def rng() -> random.Random:
 def random_queries() -> list[TreePattern]:
     """A deterministic corpus of small random patterns."""
     return [random_query(size, seed=seed) for seed in range(6) for size in (3, 5, 8, 12)]
+
+
+@pytest.fixture(scope="module")
+def paper_closure() -> ConstraintRepository:
+    """The Figure 8 depth chain plus the Figure 7(a) anchors: 107 base
+    constraints, 5065 after closure."""
+    chain = [f"T{i} -> T{i + 1}" for i in range(99)]
+    anchors = [f"S{i} -> R{i}" for i in range(8)]
+    repo = closure(parse_constraints("\n".join(chain + anchors)))
+    assert len(repo) == 5065
+    return repo
+
+
+def spine_query(rng: random.Random, size: int) -> TreePattern:
+    """A Figure 7(a) query for :func:`paper_closure`: a spine
+    ``S0*/S1/...`` of ``size`` nodes whose first anchors carry copies of
+    an IC-implied ``R`` leaf (``S{i} -> R{i}``)."""
+    pattern = TreePattern("S0", root_is_output=True)
+    spine = [pattern.root]
+    for depth in range(1, size):
+        spine.append(pattern.add_child(spine[-1], f"S{depth}", EdgeKind.CHILD))
+    for depth in rng.sample(range(8), rng.randint(1, 4)):
+        for _ in range(rng.randint(1, 4)):
+            pattern.add_child(spine[depth], f"R{depth}", EdgeKind.CHILD)
+    return pattern

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from repro import TreePattern, cdm_minimize
 from repro.constraints import (
     closure,
@@ -10,9 +12,11 @@ from repro.constraints import (
     required_child,
     required_descendant,
 )
-from repro.core.cdm import propagate_child_content
 from repro.core.infocontent import ArgKind, InfoArg, InfoContent
 from repro.workloads.paper_queries import FIGURE5_CONSTRAINTS, figure5_query
+
+from cdm_reference import propagate_child_content
+from conftest import spine_query
 
 
 def q(spec) -> TreePattern:
@@ -20,7 +24,8 @@ def q(spec) -> TreePattern:
 
 
 class TestPropagationRules:
-    """Figure 4, rule by rule."""
+    """Figure 4, rule by rule, on the object sweep of ``cdm_reference``
+    (the flat sweep is held to it by ``test_cdm_differential.py``)."""
 
     def _propagate(self, spec, child_args):
         pattern = q(spec)
@@ -231,3 +236,30 @@ class TestJustifierPreference:
         result = cdm_minimize(pattern, repo)
         assert result.pattern.size == 2
         assert [n.type for n in result.pattern.leaves()] == ["b"]
+
+
+class TestCost:
+    def test_sweep_builds_no_argument_objects(self, paper_closure, monkeypatch):
+        # Without keep_contents the sweep runs on flat per-node state: no
+        # InfoArg is compared (the object sweep sorted thousands per spine
+        # query) and no InfoContent is built.
+        calls = []
+        less_than, init = InfoArg.__lt__, InfoContent.__init__
+
+        def counting_lt(self, other):
+            calls.append("InfoArg.__lt__")
+            return less_than(self, other)
+
+        def counting_init(self):
+            calls.append("InfoContent")
+            init(self)
+
+        monkeypatch.setattr(InfoArg, "__lt__", counting_lt)
+        monkeypatch.setattr(InfoContent, "__init__", counting_init)
+        rng = random.Random(7)
+        for _ in range(20):
+            query = spine_query(rng, rng.randint(15, 80))
+            redundant = sum(1 for node in query.nodes() if node.type.startswith("R"))
+            result = cdm_minimize(query, paper_closure)
+            assert result.removed_count == redundant
+        assert calls == []

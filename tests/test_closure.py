@@ -14,6 +14,7 @@ from repro.constraints import (
     required_descendant,
 )
 from repro.constraints.closure import implied_by
+from repro.constraints.model import ConstraintKind
 from repro.constraints.repository import ConstraintRepository, coerce_repository
 
 
@@ -98,6 +99,21 @@ class TestRules:
         repo = closure([co_occurrence("a", "b"), co_occurrence("b", "a")])
         for c in repo:
             assert not (c.is_co_occurrence and c.source == c.target)
+
+    def test_synonym_pair_has_no_self_pair(self):
+        # CDM's only self-pair rule is t ->> t: a ~ a can be neither
+        # written nor derived, whether the pair arrives at once or the
+        # second half through an incremental update.
+        at_once = closure([co_occurrence("a", "d"), co_occurrence("d", "a")])
+        stepwise = closure([co_occurrence("a", "d")])
+        with stepwise.begin_update() as update:
+            update.add(co_occurrence("d", "a"))
+        assert update.mode == "incremental"
+        for repo in (at_once, stepwise):
+            assert not repo.has_co_occurrence("a", "a")
+            assert not repo.has_co_occurrence("d", "d")
+            assert set(repo.sources(ConstraintKind.CO_OCCURRENCE, "a")) == {"d"}
+            assert set(repo.sources(ConstraintKind.CO_OCCURRENCE, "d")) == {"a"}
 
     def test_cooccurrence_cycle_terminates(self):
         repo = closure([co_occurrence("a", "b"), co_occurrence("b", "c"), co_occurrence("c", "a")])

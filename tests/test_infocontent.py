@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from repro.core.infocontent import ArgKind, InfoArg, InfoContent
 
+from cdm_reference import SweepContent
+
 
 def arg(kind: ArgKind, t: str, constrained: bool = False) -> InfoArg:
     return InfoArg(kind, t, constrained)
@@ -57,14 +59,14 @@ class TestInfoContent:
         assert len(content) == 1
 
     def test_drop_source_kills_exhausted_argument(self):
-        content = InfoContent()
+        content = SweepContent()
         target = arg(ArgKind.PARENT, "x")
         content.add(target, source=1)
         content.drop_source(target, 1)
         assert not content.has(target)
 
     def test_is_live(self):
-        content = InfoContent()
+        content = SweepContent()
         content.set_self("t", True)
         target = arg(ArgKind.ANCESTOR, "x")
         content.add(target, source=3)
@@ -77,7 +79,7 @@ class TestInfoContent:
         assert not content.is_live(target)
 
     def test_removable_args_sorted(self):
-        content = InfoContent()
+        content = SweepContent()
         content.add(arg(ArgKind.PARENT, "b"), source=1)
         content.add(arg(ArgKind.ANCESTOR, "a"), source=2)
         removable = content.removable_args()
@@ -91,7 +93,7 @@ class TestInfoContent:
         assert content.notation() == "~t1, a ~t5, p ~t2"
 
     def test_drop(self):
-        content = InfoContent()
+        content = SweepContent()
         constrained = arg(ArgKind.ANCESTOR, "y", True)
         content.add(constrained)
         content.drop(constrained)

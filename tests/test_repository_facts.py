@@ -91,21 +91,6 @@ class TestMutationPathsDropFacts:
         assert facts(repo) == facts(ConstraintRepository(parse_constraint(n) for n in BASE))
 
 
-def paper_sized() -> list[IntegrityConstraint]:
-    """The Figure 8 depth chain plus the Figure 7(a) anchors: 107 base
-    constraints, 5065 after closure."""
-    chain = [f"T{i} -> T{i + 1}" for i in range(99)]
-    anchors = [f"S{i} -> R{i}" for i in range(8)]
-    return [parse_constraint(n) for n in chain + anchors]
-
-
-@pytest.fixture(scope="module")
-def paper_closure() -> ConstraintRepository:
-    repo = closure(paper_sized())
-    assert len(repo) == 5065
-    return repo
-
-
 @pytest.mark.parametrize("certify", [False, True])
 def test_queries_never_sort_the_closure(paper_closure, monkeypatch, certify):
     calls = []
