@@ -52,7 +52,7 @@ class AcimResult:
         (only when ``collect_witnesses=True``; targets may be negative =
         virtual/temporary).
     images_stats:
-        Table-building vs pruning time across all redundancy checks.
+        Table-building vs checking time across the elimination loop.
     closure_seconds / augmentation_seconds:
         Time spent closing the IC set and computing augmentation targets.
     virtual_count:
@@ -78,8 +78,10 @@ class AcimResult:
 
     @property
     def tables_seconds(self) -> float:
-        """Time building images + ancestor/descendant hash tables (the
-        quantity plotted against total time in Figure 7(b))."""
+        """Time building and maintaining the relation tables
+        (ancestor/descendant, c-child) and the type index — the quantity
+        plotted against total time in Figure 7(b). The images rows are
+        built lazily inside each check's sweep and count as prune time."""
         return self.images_stats.tables_seconds
 
     @property

@@ -93,6 +93,10 @@ def augmentation_targets(
         repo.has_kind(ConstraintKind.CO_OCCURRENCE) and repo.finitely_satisfiable()
     )
     present = {n.type for n in pattern.nodes() if not n.temporary}
+    # A node whose type no constraint mentions gets no extra type and no
+    # target, and takes no virtual-target id: both branches skip it
+    # without probing.
+    mentioned = repo.types()
     if has_cooc:
         depth_cap = max(n.depth for n in pattern.nodes())
         counter = iter(range(-1, -(1 << 30), -1))
@@ -117,7 +121,7 @@ def augmentation_targets(
                     expand(vt.id, t3, EdgeKind.DESCENDANT, depth + 1)
 
         for node in pattern.nodes():
-            if node.temporary:
+            if node.temporary or node.type not in mentioned:
                 continue
             cooc = {
                 t2 for t2 in repo.co_occurring_with(node.type) if t2 in present
@@ -134,7 +138,7 @@ def augmentation_targets(
 
     next_id = -1
     for node in pattern.nodes():
-        if node.temporary:
+        if node.temporary or node.type not in mentioned:
             # Per Section 5.2, ICs are never applied to nodes the chase
             # itself added (this is what keeps augmentation bounded and
             # makes repeated augmentation idempotent in the A/R/M algebra).

@@ -73,9 +73,11 @@ class ImagesStats:
     """Instrumentation counters for the images engine.
 
     ``tables_seconds`` covers building **and incrementally maintaining**
-    the ancestor/descendant table and initializing the images sets — the
-    fraction studied in Figure 7(b). ``prune_seconds`` covers the
-    bottom-up pruning sweeps.
+    the relation tables (c-child, ancestor/descendant) and the type
+    index: engine builds and deletions — the table side of Figure 7(b).
+    ``prune_seconds`` covers the redundancy checks, including the images
+    rows each check builds inside its sweep (a row is built when the
+    prune first reads it).
 
     ``engine_builds`` / ``incremental_deletes`` attribute table
     maintenance: a from-scratch driver rebuilds the engine per deletion
@@ -83,10 +85,9 @@ class ImagesStats:
     and applies cheap deletes. ``base_cache_hits`` / ``base_cache_misses``
     instrument the memoized per-node base candidate sets.
 
-    ``max_image_size`` samples images sets as initialized (pre-pruning);
-    ``max_image_size_post_prune`` samples them after the bottom-up sweep,
-    so table-vs-prune attribution (Figure 7(b)) stays honest when the
-    memoized path makes initialization cheap.
+    ``max_image_size`` samples images sets as initialized (pre-pruning),
+    over the rows a check reads; ``max_image_size_post_prune`` samples
+    them after the bottom-up sweep.
 
     ``prune_memo_hits`` / ``prune_memo_misses`` instrument the
     sibling-subtree prune memo (part of the oracle-cache subsystem): a

@@ -63,6 +63,41 @@ class TestAugmentationTargets:
         assert all(i < 0 for i in ids)
 
 
+class TestUnconstrainedTypes:
+    """Nodes whose type no constraint mentions are skipped unprobed."""
+
+    PROBES = ("required_children_of", "required_descendants_of", "co_occurring_with")
+
+    def _probes(self, repo, monkeypatch) -> list[str]:
+        """Record the source type of every probe of ``repo``."""
+        calls: list[str] = []
+        for name in self.PROBES:
+            original = getattr(repo, name)
+
+            def counting(source, _original=original):
+                calls.append(source)
+                return _original(source)
+
+            monkeypatch.setattr(repo, name, counting)
+        return calls
+
+    def test_paper_closure_probes_nothing_for_twig_types(self, paper_closure, monkeypatch):
+        pattern = q(("a0*", [("/", ("a1", [("//", "a2")])), ("//", "a3"), ("/", "a1")]))
+        calls = self._probes(paper_closure, monkeypatch)
+        assert augmentation_targets(pattern, paper_closure) == ([], {})
+        assert calls == []
+
+    def test_co_occurrence_branch_probes_only_mentioned_types(self, monkeypatch):
+        repo = closure([co_occurrence("b", "c"), required_child("b", "d")])
+        pattern = q(("a*", [("/", ("x", [("/", "b")])), ("/", "c"), ("/", "d")]))
+        calls = self._probes(repo, monkeypatch)
+        virtual, extra = augmentation_targets(pattern, repo)
+        b = pattern.find("b")[0]
+        assert [(vt.node_type, vt.parent_id) for vt in virtual] == [("d", b.id)]
+        assert extra == {b.id: frozenset({"c"})}
+        assert set(calls) == {"b", "c", "d"}
+
+
 class TestMaterializedAugment:
     def test_adds_temporary_nodes(self):
         pattern = q(("a*", [("/", "b")]))

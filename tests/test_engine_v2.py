@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import MinimizeOptions, Session
-from repro.certify import check_oracle_table
+from repro.certify import check_certificate, check_oracle_table
 from repro.constraints.model import (
     co_occurrence,
     parse_constraints,
@@ -412,6 +412,66 @@ class TestFlatDeleteLeaf:
         dropped = engine.delete_leaf(leaf)
         assert dropped == (vt,)
         assert engine.virtual == ()
+
+
+class TestCheckCost:
+    """A check builds only the rows of the subtree it sweeps."""
+
+    def test_early_yes_reads_only_the_parents_subtree(self):
+        pattern = random_query(220, types=TYPES, seed=7)
+        anchor = next(
+            node
+            for node in pattern.nodes()
+            if node.depth >= 3 and 1 <= sum(1 for _ in node.descendants()) <= 6
+        )
+        pattern.add_child(anchor, "z", EdgeKind.CHILD)
+        leaf = pattern.add_child(anchor, "z", EdgeKind.CHILD)
+        assert pattern.size >= 200
+        engine = FlatImagesEngine(pattern, prune_memo=False)
+        stats = engine.stats
+        before = stats.base_cache_hits + stats.base_cache_misses
+        # The twin z leaf is an image of the leaf, so the anchor maps to
+        # itself: the early YES fires at the leaf's parent.
+        assert engine.is_redundant_leaf(leaf)
+        lookups = stats.base_cache_hits + stats.base_cache_misses - before
+        assert lookups <= sum(1 for _ in anchor.subtree()) < pattern.size // 20
+
+
+def _twin_chains(depth: int, chains: int = 2) -> TreePattern:
+    """A root with two ``a`` child-chains of ``depth`` nodes, the first
+    ending in a ``b`` leaf. The second chain is redundant, and no check
+    on it fires an early YES below the root, so each one sweeps the
+    first chain top to bottom. ``chains=1`` is the minimal form."""
+    pattern = TreePattern("r", root_is_output=True)
+    for ends_in_b in (True, False)[:chains]:
+        node = pattern.root
+        for _ in range(depth):
+            node = pattern.add_child(node, "a", EdgeKind.CHILD)
+        if ends_in_b:
+            pattern.add_child(node, "b", EdgeKind.CHILD)
+    return pattern
+
+
+class TestDeepPatterns:
+    """Sweeps and witness extraction are iterative: a check may sweep a
+    subtree deeper than the interpreter's recursion limit."""
+
+    DEPTH = 600
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_session_minimizes_deep_twin_chains(self, certify):
+        pattern = _twin_chains(self.DEPTH)
+        assert pattern.size == 2 * self.DEPTH + 2
+        with Session(MinimizeOptions(certify=certify)) as session:
+            result = session.minimize(pattern)
+        assert result.output_size == self.DEPTH + 2
+        assert result.pattern.isomorphic(_twin_chains(self.DEPTH, chains=1))
+        assert (result.certificate is not None) == certify
+        if certify:
+            verdict = check_certificate(
+                result.certificate, pattern, eliminated=list(result.eliminated)
+            )
+            assert verdict.ok, verdict.reason
 
 
 class TestBatchAndSessionDifferential:
