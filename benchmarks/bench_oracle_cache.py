@@ -1,18 +1,12 @@
-"""Containment-oracle cache benchmark: cached vs uncached, all layers.
+"""Containment-oracle cache benchmark: cached vs uncached.
 
-Measures the two cache layers of the oracle-cache subsystem against
-their memo-free baselines, asserting byte-for-byte result equality on
-every section:
-
-1. **Cross-query oracle cache** — the content-keyed
-   :class:`~repro.core.oracle_cache.ContainmentOracleCache` serving
-   whole ``mapping_targets`` DP tables by isomorphism remap, on the
-   Figure 8(b) repeated-structure pair stream
-   (:func:`~repro.bench.experiments.oracle_cache_workload`);
-2. **Sibling-subtree prune memo** — ACIM redundancy checks reusing the
-   pruned images of unchanged sibling subtrees
-   (``cim_minimize(..., oracle_cache=True)``), plus the batch-backend
-   composition (workers rebuild their own memo).
+Measures the content-keyed
+:class:`~repro.core.oracle_cache.ContainmentOracleCache`, which serves
+whole ``mapping_targets`` DP tables by isomorphism remap, against the
+raw DP on the Figure 8(b) repeated-structure pair stream
+(:func:`~repro.bench.experiments.oracle_cache_workload`), asserting
+byte-for-byte equal tables. Minimization never consults this cache, so
+there is no minimizer section.
 
 Run as a script (or via ``benchmarks/run_all.py``) to write the
 machine-readable ``BENCH_oracle_cache.json`` at the repo root::
@@ -32,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 from typing import Optional
@@ -41,20 +34,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:  # script mode without install
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.api import MinimizeOptions
-from repro.batch import minimize_batch
 from repro.bench.experiments import oracle_cache_workload
 from repro.bench.timing import best_of
-from repro.constraints.model import parse_constraints
-from repro.core.acim import acim_minimize
 from repro.core.containment import mapping_targets
-from repro.core.oracle_cache import ContainmentOracleCache, oracle_cache_disabled
-from repro.parsing.sexpr import to_sexpr
-from repro.workloads.querygen import duplicate_random_branch, random_query
+from repro.core.oracle_cache import ContainmentOracleCache
 
 __all__ = ["SCHEMA_VERSION", "DEFAULT_OUTPUT", "run_comparison", "main"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Default output artifact, at the repo root so the perf trajectory is
 #: tracked in-tree from this PR onward.
@@ -65,11 +52,6 @@ SEED = 91
 
 _ORACLE_COUNTS = (8, 16, 24, 32)
 _FAST_ORACLE_COUNTS = (8, 16)
-
-_PRUNE_SEEDS = tuple(range(16))
-_FAST_PRUNE_SEEDS = tuple(range(6))
-_PRUNE_SIZE = 40
-_FAST_PRUNE_SIZE = 25
 
 
 def _run_pairs(pairs, cache):
@@ -105,89 +87,9 @@ def _oracle_section(*, repeat: int, fast: bool) -> dict:
     return {"rows": rows}
 
 
-def _prune_memo_section(*, repeat: int, fast: bool) -> dict:
-    """ACIM with vs without the sibling-subtree prune memo on
-    heterogeneous duplicated-branch queries (the memo's regime: subtrees
-    type-incompatible with the tested leaf are reusable as-is)."""
-    seeds = _FAST_PRUNE_SEEDS if fast else _PRUNE_SEEDS
-    size = _FAST_PRUNE_SIZE if fast else _PRUNE_SIZE
-    queries = []
-    for seed in seeds:
-        rng = random.Random(SEED + seed)
-        queries.append(
-            duplicate_random_branch(
-                random_query(size, types=["a", "b", "c", "d", "e"], rng=rng), rng=rng
-            )
-        )
-
-    def run_all(flag: bool):
-        return [acim_minimize(q, oracle_cache=flag) for q in queries]
-
-    memo_off_seconds = best_of(lambda: run_all(False), repeat=repeat)
-    memo_on_seconds = best_of(lambda: run_all(True), repeat=repeat)
-    on_results = run_all(True)
-    off_results = run_all(False)
-    if [to_sexpr(r.pattern) for r in on_results] != [
-        to_sexpr(r.pattern) for r in off_results
-    ]:
-        raise AssertionError("prune memo changed an ACIM result")
-    hits = sum(r.images_stats.prune_memo_hits for r in on_results)
-    misses = sum(r.images_stats.prune_memo_misses for r in on_results)
-    return {
-        "queries": len(queries),
-        "query_size": size,
-        "memo_off_seconds": memo_off_seconds,
-        "memo_on_seconds": memo_on_seconds,
-        "speedup": memo_off_seconds / max(memo_on_seconds, 1e-12),
-        "prune_memo_hits": hits,
-        "prune_memo_misses": misses,
-        "prune_memo_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-    }
-
-
-def _batch_section(*, fast: bool) -> dict:
-    """Composition check: BatchMinimizer with the subsystem on vs off
-    produces identical patterns, and the engine counters surface the
-    per-layer hit counts. Uses heterogeneous duplicated-branch queries
-    (the prune memo's regime — see :func:`_prune_memo_section`) so the
-    surfaced counters are live, not structurally zero."""
-    count = 6 if fast else 12
-    size = 20 if fast else 30
-    queries = []
-    for seed in range(count):
-        rng = random.Random(SEED + seed)
-        queries.append(
-            duplicate_random_branch(
-                random_query(size, types=["a", "b", "c", "d", "e"], rng=rng), rng=rng
-            )
-        )
-    constraints = parse_constraints("")
-    on = minimize_batch(
-        queries, constraints, MinimizeOptions(memoize=False, oracle_cache=True)
-    )
-    with oracle_cache_disabled():
-        off = minimize_batch(
-            queries, constraints, MinimizeOptions(memoize=False, oracle_cache=False)
-        )
-    if [to_sexpr(p) for p in on.patterns()] != [to_sexpr(p) for p in off.patterns()]:
-        raise AssertionError("oracle-cache subsystem changed a batch result")
-    counters = on.stats.counters()
-    if not counters.get("prune_memo_hits", 0):
-        raise AssertionError("batch workload failed to exercise the prune memo")
-    return {
-        "queries": count,
-        "query_size": size,
-        "identical_results": True,
-        "prune_memo_hits": counters.get("prune_memo_hits", 0),
-        "prune_memo_misses": counters.get("prune_memo_misses", 0),
-    }
-
-
 def run_comparison(*, repeat: int = 3, fast: bool = False) -> dict:
-    """Run every section; return the ``BENCH_oracle_cache.json`` payload."""
+    """Run the comparison; return the ``BENCH_oracle_cache.json`` payload."""
     oracle = _oracle_section(repeat=repeat, fast=fast)
-    prune = _prune_memo_section(repeat=repeat, fast=fast)
-    batch = _batch_section(fast=fast)
 
     largest = max(oracle["rows"], key=lambda r: r["queries"])
     return {
@@ -197,8 +99,6 @@ def run_comparison(*, repeat: int = 3, fast: bool = False) -> dict:
         "repeat": repeat,
         "fast": fast,
         "oracle": oracle,
-        "prune_memo": prune,
-        "batch": batch,
         "summary": {
             "oracle_speedup_at_largest": largest["speedup"],
             "oracle_hit_rate_at_largest": largest["oracle_cache_hit_rate"],
@@ -232,9 +132,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     print(
         f"wrote {args.out}: oracle cache speedup "
         f"{summary['oracle_speedup_at_largest']:.1f}x at hit rate "
-        f"{summary['oracle_hit_rate_at_largest']:.0%} "
-        f"(prune memo {payload['prune_memo']['speedup']:.2f}x, batch "
-        f"prune-memo hits {payload['batch']['prune_memo_hits']}); "
+        f"{summary['oracle_hit_rate_at_largest']:.0%}; "
         f"results identical to uncached"
     )
     return 0 if summary["meets_target"] else 1

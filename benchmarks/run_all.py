@@ -8,8 +8,8 @@ but the timings is deterministic):
   (:mod:`benchmarks.bench_incremental`);
 - ``BENCH_batch.json`` — batch backend vs serial loop + worker scaling
   (:mod:`benchmarks.bench_batch`);
-- ``BENCH_oracle_cache.json`` — containment-oracle cache layers vs their
-  memo-free baselines (:mod:`benchmarks.bench_oracle_cache`);
+- ``BENCH_oracle_cache.json`` — the containment-oracle cache vs the raw
+  DP (:mod:`benchmarks.bench_oracle_cache`);
 - ``BENCH_service.json`` — micro-batched serving vs one-at-a-time
   clients at several arrival rates (:mod:`benchmarks.bench_service`);
 - ``BENCH_persist.json`` — persistent-store warm-start vs cold-start,

@@ -1,7 +1,7 @@
 """The unified front-door API: one configuration object, one session.
 
 Before this module existed, every layer threaded its own keyword soup —
-``minimize(..., incremental=..., oracle_cache=...)``,
+``minimize(..., use_cdm_prefilter=..., certify=...)``,
 ``BatchMinimizer(..., jobs=..., use_cdm_prefilter=...)``,
 ``evaluate(..., engine=...)`` — and the CLIs, benchmarks, and the
 serving layer each re-invented the plumbing. :class:`Session` collapses
@@ -32,7 +32,8 @@ Quickstart::
 Sessions honor ``oracle_cache=False`` through the re-entrant
 :func:`~repro.core.oracle_cache.oracle_cache_disabled` scope — they never
 mutate the process-wide switch, so concurrent sessions with different
-settings compose.
+settings compose. The setting scopes only the session's containment
+checks; minimization never consults that cache.
 """
 
 from __future__ import annotations
@@ -95,10 +96,14 @@ class MinimizeOptions:
         Matching engine used by :meth:`Session.evaluate`
         (``dp``/``twig``/``pathstack``/``twigmerge``).
     oracle_cache:
-        ``None`` follows the process-wide containment-oracle-cache
-        switch; ``False`` disables every cache layer for work done
-        through the session (scoped — the global switch is untouched);
-        ``True`` forces it on for worker processes.
+        ``True`` (default) lets the session's containment checks
+        (:meth:`Session.equivalent`, ``verify``) use the process-wide
+        containment-oracle cache, subject to its global switch, and
+        attaches a configured store behind it. ``False`` runs that work
+        inside an :func:`~repro.core.oracle_cache.oracle_cache_disabled`
+        scope (the global switch is untouched) and leaves the store
+        detached. Minimization itself never consults the cache, so
+        answers are identical either way.
     jobs:
         Worker processes for batch fan-out (``0`` = one per core;
         ``"auto"`` = one per core, but tiny workloads run serially to
@@ -153,7 +158,7 @@ class MinimizeOptions:
     """
 
     engine: str = "dp"
-    oracle_cache: Optional[bool] = None
+    oracle_cache: bool = True
     jobs: Union[int, str] = 1
     strategy: str = "pipeline"
     memoize: bool = True
@@ -172,6 +177,10 @@ class MinimizeOptions:
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})"
+            )
+        if not isinstance(self.oracle_cache, bool):
+            raise ValueError(
+                f"oracle_cache must be a bool, got {self.oracle_cache!r}"
             )
         if isinstance(self.jobs, str):
             if self.jobs != "auto":
@@ -492,7 +501,7 @@ class Session:
                 self.options.store_path, injector=self.injector
             )
             self._owns_store = True
-        if self.store is not None and self.options.oracle_cache is not False:
+        if self.store is not None and self.options.oracle_cache:
             from .core.oracle_cache import set_global_store, set_global_store_audit
 
             # The process-wide oracle cache gains the disk backend; a
@@ -715,7 +724,6 @@ class Session:
                     result.input_pattern,
                     minimizer.repository,
                     use_cdm_prefilter=self.options.use_cdm_prefilter,
-                    oracle_cache=self.options.oracle_cache,
                 )
                 ok = (
                     fresh.pattern.canonical_key() == result.pattern.canonical_key()
@@ -893,7 +901,7 @@ class Session:
         """The cache scope implied by the options: a re-entrant
         oracle-cache-disabled scope for ``oracle_cache=False``, a no-op
         otherwise."""
-        if self.options.oracle_cache is False:
+        if not self.options.oracle_cache:
             return oracle_cache_disabled()
         return nullcontext()
 

@@ -212,26 +212,19 @@ class _MemoEntry:
 # Worker-process globals, set once per worker by `_init_worker` (the
 # closed repository is shipped a single time instead of per task). Only
 # pool workers read them; the calling process never runs `_init_worker`.
-# The containment-oracle cache is deliberately NOT shipped: each worker
-# starts from a fresh process (`worker_context`) and rebuilds its own
-# process-local cache, warmed by the queries it happens to minimize —
-# only the on/off switch crosses the process boundary.
+# Minimization never consults the containment-oracle cache, so no cache
+# state crosses the process boundary.
 _WORKER_REPO: Optional[ConstraintRepository] = None
 _WORKER_USE_CDM: bool = True
-_WORKER_ORACLE: Optional[bool] = None
 _WORKER_CERTIFY: bool = False
 
 
 def _init_worker(
-    repo_bytes: bytes,
-    use_cdm_prefilter: bool,
-    oracle_cache: Optional[bool] = None,
-    certify: bool = False,
+    repo_bytes: bytes, use_cdm_prefilter: bool, certify: bool = False
 ) -> None:
-    global _WORKER_REPO, _WORKER_USE_CDM, _WORKER_ORACLE, _WORKER_CERTIFY
+    global _WORKER_REPO, _WORKER_USE_CDM, _WORKER_CERTIFY
     _WORKER_REPO = pickle.loads(repo_bytes)
     _WORKER_USE_CDM = use_cdm_prefilter
-    _WORKER_ORACLE = oracle_cache
     _WORKER_CERTIFY = certify
 
 
@@ -240,7 +233,6 @@ def _minimize_one(pattern: TreePattern) -> MinimizeResult:
         pattern,
         _WORKER_REPO,
         use_cdm_prefilter=_WORKER_USE_CDM,
-        oracle_cache=_WORKER_ORACLE,
         certify=_WORKER_CERTIFY,
     )
 
@@ -295,7 +287,7 @@ class BatchMinimizer:
         every worker process).
     options:
         A :class:`repro.api.MinimizeOptions` carrying the whole
-        configuration (jobs, memoize, strategy, oracle_cache, ...);
+        configuration (jobs, memoize, strategy, certify, ...);
         ``None`` means all defaults. This is the **only** configuration
         path — the scattered per-knob kwargs of earlier releases
         (``jobs=``, ``memoize=``, ``use_cdm_prefilter=``,
@@ -327,7 +319,6 @@ class BatchMinimizer:
         self.jobs = resolve_jobs(options.jobs)
         self.memoize = options.memoize
         self.use_cdm_prefilter = options.use_cdm_prefilter
-        self.oracle_cache = options.oracle_cache
         self.watchdog = options.watchdog
         self.certify = getattr(options, "certify", False)
         fault_plan = options.fault_plan
@@ -512,7 +503,6 @@ class BatchMinimizer:
             pattern,
             self.repository,
             use_cdm_prefilter=self.use_cdm_prefilter,
-            oracle_cache=self.oracle_cache,
             certify=self.certify,
         )
 
@@ -526,7 +516,6 @@ class BatchMinimizer:
                 initargs=(
                     pickle.dumps(self.repository),
                     self.use_cdm_prefilter,
-                    self.oracle_cache,
                     self.certify,
                 ),
             )

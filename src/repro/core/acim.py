@@ -102,7 +102,6 @@ def acim_minimize(
     collect_witnesses: bool = False,
     seed: Optional[int] = None,
     incremental: bool = True,
-    oracle_cache: Optional[bool] = None,
     in_place: bool = False,
 ) -> AcimResult:
     """Minimize ``pattern`` under ``constraints`` (Algorithm ACIM).
@@ -114,9 +113,8 @@ def acim_minimize(
     Parameters mirror :func:`repro.core.cim.cim_minimize`; see there for
     ``collect_witnesses``, ``seed``, ``incremental`` (one maintained
     images engine for the whole elimination loop vs the from-scratch
-    rebuild-per-deletion baseline), ``oracle_cache`` (the
-    sibling-subtree prune memo) and ``in_place`` (minimize ``pattern``
-    itself instead of a copy).
+    rebuild-per-deletion baseline) and ``in_place`` (minimize
+    ``pattern`` itself instead of a copy).
     """
     repo = coerce_repository(constraints)
     result = AcimResult(pattern=pattern)  # placeholder, replaced below
@@ -144,7 +142,6 @@ def acim_minimize(
         stats=result.images_stats,
         seed=seed,
         incremental=incremental,
-        oracle_cache=oracle_cache,
     )
     cim.pattern.clear_extra_types()
 

@@ -93,7 +93,6 @@ def cim_minimize(
     include_temporaries: bool = False,
     pair_filter=None,
     incremental: bool = True,
-    oracle_cache: Optional[bool] = None,
 ) -> CimResult:
     """Minimize ``pattern`` by maximal elimination of redundant leaves.
 
@@ -131,12 +130,6 @@ def cim_minimize(
         behaviour — a fresh engine per deletion — kept as the
         differential-testing and benchmarking baseline; results are
         identical, only slower.
-    oracle_cache:
-        Use the sibling-subtree prune memo of the oracle-cache subsystem
-        inside the images engine. ``None`` (default) follows the
-        process-wide switch
-        (:func:`repro.core.oracle_cache.global_enabled`); ``False`` is
-        the memo-free baseline. Results are identical either way.
 
     Returns
     -------
@@ -163,11 +156,7 @@ def cim_minimize(
         n.id for n in query.leaves() if _eligible(n, protect, include_temporaries)
     ]
     engine = FlatImagesEngine(
-        query,
-        live_virtual,
-        result.stats,
-        pair_filter=pair_filter,
-        prune_memo=oracle_cache,
+        query, live_virtual, result.stats, pair_filter=pair_filter
     )
 
     while candidates:
@@ -218,11 +207,7 @@ def cim_minimize(
                         survivors.append(vt)
                 live_virtual = survivors
             engine = FlatImagesEngine(
-                query,
-                live_virtual,
-                result.stats,
-                pair_filter=pair_filter,
-                prune_memo=oracle_cache,
+                query, live_virtual, result.stats, pair_filter=pair_filter
             )
         if (
             parent is not None

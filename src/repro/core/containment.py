@@ -35,7 +35,6 @@ from .pattern import TreePattern
 
 __all__ = [
     "ContainmentStats",
-    "compatible_nodes",
     "mapping_targets",
     "find_containment_mapping",
     "has_containment_mapping",
@@ -98,19 +97,6 @@ class ContainmentStats:
         }
 
 
-def compatible_nodes(v: PatternNode, u: PatternNode) -> bool:
-    """Local (label-only) compatibility of mapping ``v`` onto ``u``.
-
-    ``u`` must carry ``v``'s original type (possibly via augmented
-    co-occurrence types), and the output node must map to the output
-    node. The converse is *not* required: a non-output node may map onto
-    the output node — the ``*`` is a query-side marker, not a data label.
-    (The paper's Figure 2(b) → 2(c) minimization, where the unstarred
-    ``Article`` branch folds onto the starred one, depends on this.)
-    """
-    return u.has_type(v.type) and (u.is_output or not v.is_output)
-
-
 def mapping_targets(
     source: TreePattern,
     target: TreePattern,
@@ -124,7 +110,13 @@ def mapping_targets(
     Computed by the bottom-up dynamic program described in Section 4: a
     target ``u`` is admissible for ``v`` iff the labels are compatible and
     every c-child (d-child) of ``v`` has an admissible target among ``u``'s
-    children (proper descendants).
+    children (proper descendants). Labels are compatible when ``u``
+    carries ``v``'s type (possibly as an augmented co-occurrence type)
+    and ``u`` is the output node whenever ``v`` is. The converse is not
+    required: a non-output node may map onto the output node, because
+    the ``*`` is a query-side marker, not a data label (the paper's
+    Figure 2(b) → 2(c) minimization, where the unstarred ``Article``
+    branch folds onto the starred one, depends on this).
 
     Two sub-results are memoized across the run (pass ``stats`` to observe
     hit rates): label-compatibility base sets are shared by every source

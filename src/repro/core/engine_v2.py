@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..errors import InvalidPatternError
-from . import oracle_cache as _oracle_cache
 from .edges import EdgeKind
 from .images import ImagesStats, VirtualTarget
 from .node import PatternNode
@@ -301,8 +300,8 @@ class FlatImagesEngine:
     fires, not the whole query. The relation tables, type index and
     base rows are not maintained across deletions — see the module
     docstring for the ``live``-mask invariant; :meth:`delete_leaf` only
-    clears bits, drops the leaf's slot from its parent's child list and
-    evicts stale memo entries.
+    clears bits and drops the leaf's slot from its parent's child list.
+    Like Figure 3, a check carries nothing over to the next one.
 
     Parameters
     ----------
@@ -319,17 +318,8 @@ class FlatImagesEngine:
         target_id) -> bool`` applied when initializing images sets. Used
         by the value-predicate extension (Section 7 of the paper): a
         target is admissible only if its conditions entail the source's.
-        Must be deterministic — the prune memo replays its results.
-    prune_memo:
-        Reuse pruned sibling-subtree images across redundancy checks
-        (see :meth:`_sweep`). ``None`` (default) follows the process-wide
-        oracle-cache switch (:func:`repro.core.oracle_cache.global_enabled`);
-        pass ``False`` for the memo-free baseline.
+        Must be deterministic: base rows are cached across checks.
     """
-
-    #: Whole-memo reset threshold: entries reference the pruned rows of
-    #: past checks, so an unbounded memo would pin every check's rows.
-    PRUNE_MEMO_CAP = 4096
 
     def __init__(
         self,
@@ -337,18 +327,9 @@ class FlatImagesEngine:
         virtual: Sequence[VirtualTarget] = (),
         stats: Optional[ImagesStats] = None,
         pair_filter: Optional[Callable[[int, int], bool]] = None,
-        prune_memo: Optional[bool] = None,
     ) -> None:
         self._virtual = tuple(virtual)
         self.pair_filter = pair_filter
-        self.use_prune_memo = (
-            _oracle_cache.global_enabled() if prune_memo is None else bool(prune_memo)
-        )
-        # (subtree root slot, excluded & relevant) -> (the storing
-        # check's {slot -> pruned row} dict, relevant mask when stored).
-        # Rows are ints, hence shared safely on hits.
-        self._prune_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
-        self._relevant_cache: dict[int, int] = {}
         self.stats = stats if stats is not None else ImagesStats()
         self.stats.engine_builds += 1
         start = time.perf_counter()
@@ -485,10 +466,7 @@ class FlatImagesEngine:
         (and :attr:`virtual`) is masked with ``live`` at the point of
         use. The leaf's slot leaves its parent's child list (the engine
         keeps its own parent slots: the caller may already have detached
-        the leaf). Only the prune memo needs real eviction: subtrees on
-        the leaf's ancestor path changed structurally, so their memoized
-        prunes and relevant masks are stale; elsewhere an entry stays
-        exact unless its relevant mask saw a dead bit.
+        the leaf).
         """
         start = time.perf_counter()
         leaf_id = leaf.id
@@ -506,18 +484,6 @@ class FlatImagesEngine:
         if parent >= 0:
             self._kids[parent].remove(slot)
         self._base_cache.pop(slot, None)
-        if self.use_prune_memo:
-            stale = self._anc[slot] | 1 << slot
-            self._prune_memo = {
-                (root, key): entry
-                for (root, key), entry in self._prune_memo.items()
-                if not stale >> root & 1 and not entry[1] & dead
-            }
-            self._relevant_cache = {
-                s: relevant & ~dead
-                for s, relevant in self._relevant_cache.items()
-                if not stale >> s & 1
-            }
         self.stats.incremental_deletes += 1
         self.stats.tables_seconds += time.perf_counter() - start
         return dropped
@@ -608,7 +574,7 @@ class FlatImagesEngine:
             parent = self._parent
             s = parent[slot]
             while s >= 0:
-                self._sweep(s, rows, excluded, admissible)
+                self._sweep(s, rows, admissible)
                 row = rows[s]
                 if not row:
                     return None
@@ -623,54 +589,17 @@ class FlatImagesEngine:
         finally:
             self.stats.prune_seconds += time.perf_counter() - start
 
-    def _relevant(self, slot: int) -> int:
-        """Union of base rows over ``slot``'s subtree, cached per slot."""
-        cache = self._relevant_cache
-        cached = cache.get(slot)
-        if cached is not None:
-            return cached
-        kids = self._kids
-        stack: list[tuple[int, bool]] = [(slot, False)]
-        while stack:
-            s, expanded = stack.pop()
-            if s in cache:
-                continue
-            if not expanded:
-                stack.append((s, True))
-                stack.extend((c, False) for c in kids[s])
-                continue
-            relevant = self._base_row(s)
-            for c in kids[s]:
-                relevant |= cache[c]
-            cache[s] = relevant
-        return cache[slot]
-
-    def _sweep(
-        self, top: int, rows: dict[int, int], excluded: int, admissible: int
-    ) -> None:
+    def _sweep(self, top: int, rows: dict[int, int], admissible: int) -> None:
         """Prune ``rows`` throughout ``top``'s subtree, children before
         parents and siblings in insertion order, skipping subtrees
         already pruned (keys of ``rows``).
 
         Iterative, so a check handles subtrees deeper than the
-        interpreter's recursion limit. With the prune memo on, each
-        child subtree the sweep enters first consults the memo, keyed
-        ``(subtree root, excluded & relevant)``: the pruned rows of a
-        subtree are a pure function of its structure, its initial rows
-        (base rows minus the excluded bits) and the relation among live
-        targets, and base rows are bounded by the subtree's *relevant*
-        mask, so two exclusions with the same intersection with it yield
-        identical pruned rows. Sibling-leaf checks differ only in the
-        leaf under test, so subtrees that cannot see either leaf share a
-        key — the reuse this memo exists for. Excluded bits never
-        include dead targets, so the key is insensitive to the stale
-        bits a cached relevant mask may carry.
+        interpreter's recursion limit.
         """
         kids = self._kids
-        stats = self.stats
-        memo = self._prune_memo if self.use_prune_memo else None
-        # Frames: [slot, next child index, memo key or None, relevant].
-        frames: list[list] = [[top, 0, None, 0]]
+        # Frames: [slot, next child index].
+        frames: list[list[int]] = [[top, 0]]
         while frames:
             frame = frames[-1]
             children = kids[frame[0]]
@@ -680,55 +609,15 @@ class FlatImagesEngine:
                 i += 1
                 if c in rows:
                     continue
-                key = None
-                relevant = 0
-                if memo is not None:
-                    relevant = self._relevant(c)
-                    key = (c, excluded & relevant)
-                    entry = memo.get(key)
-                    if entry is not None:
-                        stats.prune_memo_hits += 1
-                        self._replay(c, entry[0], rows)
-                        continue
-                    stats.prune_memo_misses += 1
                 if kids[c]:
                     break
                 rows[c] = self._image_row(c, admissible)
-                if key is not None:
-                    self._remember(key, rows, relevant)
             else:
                 frames.pop()
                 self._prune(frame[0], rows, admissible)
-                if frame[2] is not None:
-                    self._remember(frame[2], rows, frame[3])
                 continue
             frame[1] = i
-            frames.append([c, 0, key, relevant])
-
-    def _remember(
-        self, key: tuple[int, int], rows: dict[int, int], relevant: int
-    ) -> None:
-        """Store a just-pruned subtree in the prune memo.
-
-        The entry keeps the check's ``rows`` dict itself, not a copy: a
-        pruned row never changes later in its check, and an entry is
-        evicted before its subtree changes shape, so :meth:`_replay` can
-        read the subtree's rows from it by walking the live child lists.
-        """
-        memo = self._prune_memo
-        if len(memo) >= self.PRUNE_MEMO_CAP:
-            memo.clear()
-            self.stats.prune_memo_evictions += 1
-        memo[key] = (rows, relevant)
-
-    def _replay(self, top: int, stored: dict[int, int], rows: dict[int, int]) -> None:
-        """Copy the memoized pruned rows of ``top``'s subtree into ``rows``."""
-        kids = self._kids
-        stack = [top]
-        while stack:
-            s = stack.pop()
-            rows[s] = stored[s]
-            stack.extend(kids[s])
+            frames.append([c, 0])
 
     def _prune(self, s: int, rows: dict[int, int], admissible: int) -> None:
         """Prune the row of non-leaf slot ``s`` against its children's

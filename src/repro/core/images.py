@@ -14,7 +14,7 @@ callers share with it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import InvalidPatternError
 from .edges import EdgeKind
@@ -88,12 +88,6 @@ class ImagesStats:
     ``max_image_size`` samples images sets as initialized (pre-pruning),
     over the rows a check reads; ``max_image_size_post_prune`` samples
     them after the bottom-up sweep.
-
-    ``prune_memo_hits`` / ``prune_memo_misses`` instrument the
-    sibling-subtree prune memo (part of the oracle-cache subsystem): a
-    hit means a whole subtree's pruned images sets were reused from an
-    earlier redundancy check instead of being re-derived;
-    ``prune_memo_evictions`` counts whole-memo resets at the size cap.
     """
 
     tables_seconds: float = 0.0
@@ -106,10 +100,10 @@ class ImagesStats:
     incremental_deletes: int = 0
     base_cache_hits: int = 0
     base_cache_misses: int = 0
+    # Always 0: the engine keeps no prune memo. perfbench's tracer still
+    # reads both under --trace 1, so they stay until its metrics go.
     prune_memo_hits: int = 0
     prune_memo_misses: int = 0
-    prune_memo_evictions: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -127,7 +121,4 @@ class ImagesStats:
             "incremental_deletes": self.incremental_deletes,
             "base_cache_hits": self.base_cache_hits,
             "base_cache_misses": self.base_cache_misses,
-            "prune_memo_hits": self.prune_memo_hits,
-            "prune_memo_misses": self.prune_memo_misses,
-            "prune_memo_evictions": self.prune_memo_evictions,
         }

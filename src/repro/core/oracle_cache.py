@@ -459,8 +459,7 @@ def set_global_store_audit(audit: bool) -> None:
 
 
 def global_enabled() -> bool:
-    """Whether the process-wide oracle-cache subsystem is enabled (this
-    switch also governs the default for the images-engine prune memo).
+    """Whether the process-wide containment-oracle cache is enabled.
 
     False while the ``set_global_enabled(False)`` switch is off **or**
     any :func:`oracle_cache_disabled` scope is active."""
@@ -485,8 +484,8 @@ def reset_global_cache() -> None:
 
 @contextmanager
 def oracle_cache_disabled() -> Iterator[None]:
-    """Temporarily disable the process-wide cache (and the prune-memo
-    default) — the uncached side of differential tests and benchmarks.
+    """Temporarily disable the process-wide cache — the uncached side of
+    differential tests and benchmarks.
 
     Re-entrant and exception-safe: scopes nest through a depth counter
     (the cache stays off until the outermost scope exits) and never

@@ -94,7 +94,6 @@ def minimize(
     certify: bool = False,
     seed: Optional[int] = None,
     incremental: bool = True,
-    oracle_cache: Optional[bool] = None,
 ) -> MinimizeResult:
     """Minimize ``pattern`` (optionally under ``constraints``).
 
@@ -104,9 +103,8 @@ def minimize(
     identical (both are the unique minimum), only slower; the Figure 9(b)
     benchmark measures the difference. ``incremental=False`` selects the
     from-scratch engine-rebuild baseline inside ACIM (see
-    :func:`repro.core.cim.cim_minimize`); ``oracle_cache=False``
-    disables the sibling-subtree prune memo there, ``None`` follows the
-    process-wide oracle-cache switch.
+    :func:`repro.core.cim.cim_minimize`). Minimization never consults
+    the containment-oracle cache, so no cache setting changes its work.
 
     With ``certify=True`` the run additionally assembles a
     :class:`repro.certify.Certificate` (one witness step per eliminated
@@ -130,7 +128,6 @@ def minimize(
             collect_witnesses=collect,
             seed=seed,
             incremental=incremental,
-            oracle_cache=oracle_cache,
         )
         result.pattern = result.acim.pattern
         if certify:
@@ -153,7 +150,6 @@ def minimize(
         collect_witnesses=collect,
         seed=seed,
         incremental=incremental,
-        oracle_cache=oracle_cache,
         # CDM's output is this run's own copy: one pattern per result.
         in_place=working is not pattern,
     )

@@ -17,8 +17,8 @@ __all__ = ["to_xpath"]
 def to_xpath(pattern: TreePattern) -> str:
     """Render a pattern as an XPath-subset string.
 
-    The ``*`` marker is emitted explicitly unless the output node is the
-    last step of the main path (where the parser defaults it anyway).
+    The main path ends at the output node, where the parser puts the
+    output by default, so no ``*`` marker is emitted.
     """
     spine: list[PatternNode] = list(pattern.output_node.path_from_root())
     spine_ids = {n.id for n in spine}
@@ -26,24 +26,23 @@ def to_xpath(pattern: TreePattern) -> str:
     for i, node in enumerate(spine):
         if i > 0:
             parts.append(node.edge.symbol)
-        explicit_star = node.is_output and i != len(spine) - 1
-        parts.append(_step(node, spine_ids, explicit_star))
+        parts.append(node.type)
+        for child in node.children:
+            if child.id not in spine_ids:  # else: the next main-path step
+                _branch(child, parts)
     return "".join(parts)
 
 
-def _step(node: PatternNode, spine_ids: set[int], explicit_star: bool) -> str:
-    out = node.type + ("*" if explicit_star else "")
-    next_on_spine = [c for c in node.children if c.id in spine_ids]
-    for child in node.children:
-        if child.id in spine_ids and child in next_on_spine:
-            continue  # rendered as the next main-path step
-        out += f"[{_branch(child)}]"
-    return out
-
-
-def _branch(node: PatternNode) -> str:
-    prefix = "" if node.edge.is_child else "//"
-    out = prefix + node.type + ("*" if node.is_output else "")
-    for child in node.children:
-        out += f"[{_branch(child)}]"
-    return out
+def _branch(top: PatternNode, parts: list[str]) -> None:
+    """Append the predicate ``[...]`` rooted at ``top`` to ``parts``,
+    iteratively so that predicates nest past the recursion limit."""
+    stack: list = [top]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is str:
+            parts.append(node)
+            continue
+        prefix = "[" if node.edge.is_child else "[//"
+        parts.append(prefix + node.type + ("*" if node.is_output else ""))
+        stack.append("]")
+        stack.extend(reversed(node.children))

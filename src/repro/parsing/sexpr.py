@@ -63,7 +63,7 @@ class _SexprParser:
         return token
 
     def parse(self) -> TreePattern:
-        pattern = self._pattern(None, None)
+        pattern = self._pattern()
         if self.peek() is not None:
             raise self.error(f"trailing tokens starting at {self.peek()!r}")
         if pattern.output_node_or_none() is None:
@@ -71,38 +71,56 @@ class _SexprParser:
         pattern.validate()
         return pattern
 
-    def _pattern(
-        self, pattern: TreePattern | None, attach: tuple[PatternNode, EdgeKind] | None
-    ) -> TreePattern:
-        token = self.next()
-        parenthesized = token == "("
-        if parenthesized:
-            token = self.next()
-        if token in ("(", ")", "/", "//"):
-            raise self.error(f"expected a type name, got {token!r}")
-        name, star = (token[:-1], True) if token.endswith("*") else (token, False)
-        if not name:
-            raise self.error("empty type name")
-        if pattern is None:
-            pattern = TreePattern(name, root_is_output=star)
-            node = pattern.root
-        else:
-            assert attach is not None
-            parent, edge = attach
-            node = pattern.add_child(parent, name, edge, is_output=star)
-        if parenthesized:
-            while self.peek() != ")":
-                self._child(pattern, node)
-            self.next()  # consume ')'
-        return pattern
+    def _pattern(self) -> TreePattern:
+        """Read the whole pattern, iteratively so that forms nest deeper
+        than the interpreter's recursion limit.
 
-    def _child(self, pattern: TreePattern, parent: PatternNode) -> None:
+        ``open_nodes`` holds the parenthesized nodes whose child lists
+        are still open, outermost first.
+        """
+        pattern: TreePattern | None = None
+        attach: tuple[PatternNode, EdgeKind] | None = None
+        open_nodes: list[PatternNode] = []
+        while True:
+            token = self.next()
+            parenthesized = token == "("
+            if parenthesized:
+                token = self.next()
+            if token in ("(", ")", "/", "//"):
+                raise self.error(f"expected a type name, got {token!r}")
+            name, star = (token[:-1], True) if token.endswith("*") else (token, False)
+            if not name:
+                raise self.error("empty type name")
+            if pattern is None:
+                pattern = TreePattern(name, root_is_output=star)
+                node = pattern.root
+            else:
+                assert attach is not None
+                parent, edge = attach
+                node = pattern.add_child(parent, name, edge, is_output=star)
+            if parenthesized:
+                open_nodes.append(node)
+            elif open_nodes:
+                self._close_child()
+            while open_nodes and self.peek() == ")":
+                self.next()  # consume ')'
+                open_nodes.pop()
+                if open_nodes:
+                    self._close_child()
+            if not open_nodes:
+                return pattern
+            attach = self._open_child(open_nodes[-1])
+
+    def _open_child(self, parent: PatternNode) -> tuple[PatternNode, EdgeKind]:
+        """Read ``'(' ('/' | '//')``; return where the child attaches."""
         if self.next() != "(":
             raise self.error("expected '(' to open a child form")
         edge_token = self.next()
         if edge_token not in ("/", "//"):
             raise self.error(f"expected '/' or '//', got {edge_token!r}")
-        self._pattern(pattern, (parent, EdgeKind.from_symbol(edge_token)))
+        return parent, EdgeKind.from_symbol(edge_token)
+
+    def _close_child(self) -> None:
         if self.next() != ")":
             raise self.error("expected ')' to close the child form")
 
@@ -118,21 +136,25 @@ def to_sexpr(pattern: TreePattern, *, pretty: bool = False) -> str:
 
     ``pretty=True`` produces an indented multi-line rendering.
     """
-
-    def render(node: PatternNode, level: int) -> str:
+    parts: list[str] = []
+    # Nodes still to render, with their depth, and closing text.
+    stack: list = [(pattern.root, 0)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            parts.append(item)
+            continue
+        node, level = item
         label = node.type + ("*" if node.is_output else "")
-        if node.is_leaf:
-            return label
-        if pretty:
-            pad = "\n" + "  " * (level + 1)
-            inner = pad.join(
-                f"({child.edge.symbol} {render(child, level + 1)})"
-                for child in node.children
-            )
-            return f"({label}{pad}{inner})"
-        inner = " ".join(
-            f"({child.edge.symbol} {render(child, level + 1)})" for child in node.children
-        )
-        return f"({label} {inner})"
-
-    return render(pattern.root, 0)
+        children = node.children
+        if not children:
+            parts.append(label)
+            continue
+        sep = "\n" + "  " * (level + 1) if pretty else " "
+        parts.append("(" + label)
+        stack.append(")")
+        for child in reversed(children):
+            stack.append(")")
+            stack.append((child, level + 1))
+            stack.append(f"{sep}({child.edge.symbol} ")
+    return "".join(parts)

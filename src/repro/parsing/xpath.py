@@ -64,7 +64,8 @@ class _Scanner:
 
 
 class _XPathParser:
-    """Recursive-descent parser for the fragment above."""
+    """Parser for the fragment above, iterative so that predicates nest
+    deeper than the interpreter's recursion limit."""
 
     def __init__(self, text: str) -> None:
         self.scanner = _Scanner(text.strip())
@@ -76,7 +77,7 @@ class _XPathParser:
         if not s.text:
             raise s.error("empty query")
         s.take("/")  # optional leading slash (absolute path)
-        last = self._path(None, EdgeKind.CHILD)
+        last = self._path()
         if not s.eof():
             raise s.error("trailing characters after the query")
         assert self.pattern is not None
@@ -85,20 +86,38 @@ class _XPathParser:
         self.pattern.validate()
         return self.pattern
 
-    def _path(self, parent: PatternNode | None, first_edge: EdgeKind) -> PatternNode:
-        """Parse ``step (sep step)*`` under ``parent``; return the last
-        main-path step (the default output position)."""
+    def _path(self) -> PatternNode:
+        """Parse the main path with its predicates; return its last step
+        (the default output position).
+
+        ``open_steps`` holds the current step of every open path: the
+        main path first, then one entry per unclosed predicate.
+        """
         s = self.scanner
-        node = self._step(parent, first_edge)
+        open_steps = [self._step(None, EdgeKind.CHILD)]
         while True:
-            if s.take("//"):
-                node = self._step(node, EdgeKind.DESCENDANT)
+            node = open_steps[-1]
+            if s.take("["):
+                s.take(".")  # allow the XPath spelling .// (and ./)
+                if s.take("//"):
+                    edge = EdgeKind.DESCENDANT
+                else:
+                    s.take("/")
+                    edge = EdgeKind.CHILD
+                open_steps.append(self._step(node, edge))
+            elif s.take("//"):
+                open_steps[-1] = self._step(node, EdgeKind.DESCENDANT)
             elif s.take("/"):
-                node = self._step(node, EdgeKind.CHILD)
-            else:
+                open_steps[-1] = self._step(node, EdgeKind.CHILD)
+            elif len(open_steps) == 1:
                 return node
+            else:
+                open_steps.pop()
+                if not s.take("]"):
+                    raise s.error("expected ']' to close the predicate")
 
     def _step(self, parent: PatternNode | None, edge: EdgeKind) -> PatternNode:
+        """Read one step's name and ``*`` marker; its predicates follow."""
         s = self.scanner
         name = s.read_name()
         starred = s.take("*")
@@ -113,21 +132,7 @@ class _XPathParser:
                 raise OutputNodeError("more than one node marked '*'")
             node.is_output = True
             self.explicit_output = True
-        while s.take("["):
-            self._predicate(node)
         return node
-
-    def _predicate(self, node: PatternNode) -> None:
-        s = self.scanner
-        s.take(".")  # allow the XPath spelling .// (and ./)
-        if s.take("//"):
-            edge = EdgeKind.DESCENDANT
-        else:
-            s.take("/")
-            edge = EdgeKind.CHILD
-        self._path(node, edge)
-        if not s.take("]"):
-            raise s.error("expected ']' to close the predicate")
 
 
 def parse_xpath(text: str) -> TreePattern:

@@ -199,7 +199,7 @@ async def _serve(args: argparse.Namespace) -> int:
         engine=args.engine,
         strategy=args.strategy,
         jobs=args.jobs,
-        oracle_cache=False if args.no_oracle_cache else None,
+        oracle_cache=not args.no_oracle_cache,
         watchdog=args.watchdog,
         fault_plan=(
             _parse_fault_plan(args.fault_plan) if args.fault_plan else None

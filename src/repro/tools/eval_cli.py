@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         options = MinimizeOptions(
             engine=args.engine,
             jobs=args.jobs,
-            oracle_cache=False if args.no_oracle_cache else None,
+            oracle_cache=not args.no_oracle_cache,
         )
         with Session(options, constraints=constraints) as session:
             minimized_results = None

@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-oracle-cache",
         action="store_true",
         help=(
-            "disable the process-wide containment-oracle cache and the "
-            "prune memo (results are identical either way)"
+            "disable the process-wide containment-oracle cache (results "
+            "are identical either way)"
         ),
     )
     return parser
@@ -175,7 +175,7 @@ def _session_options(args) -> MinimizeOptions:
     (no engine/cache kwargs threaded anywhere below this line)."""
     return MinimizeOptions(
         jobs=args.jobs,
-        oracle_cache=False if args.no_oracle_cache else None,
+        oracle_cache=not args.no_oracle_cache,
         certify=args.certify,
     )
 

@@ -48,7 +48,7 @@ class TestMinimizeOptions:
         assert options.engine == "dp"
         assert options.strategy == "pipeline"
         assert options.jobs == 1
-        assert options.oracle_cache is None
+        assert options.oracle_cache is True
         assert options.verify is False
         assert options.use_cdm_prefilter is True
 
@@ -59,6 +59,9 @@ class TestMinimizeOptions:
             MinimizeOptions(strategy="nope")
         with pytest.raises(ValueError, match="jobs"):
             MinimizeOptions(jobs=-1)
+        for bad in (None, 0, "off"):
+            with pytest.raises(ValueError, match="oracle_cache"):
+                MinimizeOptions(oracle_cache=bad)
 
     def test_with_overrides(self):
         options = MinimizeOptions()

@@ -6,7 +6,6 @@ from conftest import assert_valid_mapping, hom_exists
 
 from repro import TreePattern, equivalent, is_contained_in
 from repro.core.containment import (
-    compatible_nodes,
     find_containment_mapping,
     has_containment_mapping,
     mapping_targets,
@@ -18,20 +17,22 @@ def q(spec) -> TreePattern:
 
 
 class TestCompatibleNodes:
+    """The label rule of the containment DP: a target must carry the
+    source's type, and the output node maps only onto the output node."""
+
     def test_same_type_unstarred(self):
         a, b = q("x"), q("x")
-        assert compatible_nodes(a.root, b.root)
+        assert mapping_targets(a, b, cache=None)[a.root.id] == {b.root.id}
 
     def test_type_mismatch(self):
         a, b = q("x"), q("y")
-        assert not compatible_nodes(a.root, b.root)
+        assert mapping_targets(a, b, cache=None)[a.root.id] == set()
 
     def test_output_must_map_to_output(self):
         starred = q(("a", [("/", "b*")]))
         unstarred_b = q(("a*", [("/", "b")]))
         v = starred.find("b")[0]
-        u = unstarred_b.find("b")[0]
-        assert not compatible_nodes(v, u)
+        assert mapping_targets(starred, unstarred_b, cache=None)[v.id] == set()
 
     def test_non_output_may_map_onto_output(self):
         # One-directional star rule (Figure 2(b) -> (c) depends on this).
@@ -39,13 +40,13 @@ class TestCompatibleNodes:
         starred = q(("a", [("/", "b*")]))
         v = unstarred.find("b")[0]
         u = starred.find("b")[0]
-        assert compatible_nodes(v, u)
+        assert mapping_targets(unstarred, starred, cache=None)[v.id] == {u.id}
 
     def test_extra_types_count(self):
         a = q("x")
         b = q("y")
         b.add_extra_type(b.root, "x")
-        assert compatible_nodes(a.root, b.root)
+        assert mapping_targets(a, b, cache=None)[a.root.id] == {b.root.id}
 
 
 class TestContainment:

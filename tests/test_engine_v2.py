@@ -50,7 +50,8 @@ from repro.core.fingerprint import subtree_keys
 from repro.core.pattern import TreePattern
 from repro.core.pipeline import minimize
 from repro.errors import InvalidPatternError
-from repro.parsing.sexpr import to_sexpr
+from repro.parsing.serializer import to_xpath
+from repro.parsing.sexpr import parse_sexpr, to_sexpr
 from repro.parsing.xpath import parse_xpath
 from repro.service import MinimizationService
 from repro.workloads import (
@@ -153,10 +154,9 @@ REFERENCE_KINDS = {
         range(40),
         lambda seed: _acim_record(*_workload(seed), incremental=False),
     ),
-    "acim_memo_free": (
-        range(40),
-        lambda seed: _acim_record(*_workload(seed), oracle_cache=False),
-    ),
+    # Frozen while the engine still had a prune memo, from its memo-free
+    # baseline; the engine now has only that path.
+    "acim_memo_free": (range(40), lambda seed: _acim_record(*_workload(seed))),
 }
 
 
@@ -427,7 +427,7 @@ class TestCheckCost:
         pattern.add_child(anchor, "z", EdgeKind.CHILD)
         leaf = pattern.add_child(anchor, "z", EdgeKind.CHILD)
         assert pattern.size >= 200
-        engine = FlatImagesEngine(pattern, prune_memo=False)
+        engine = FlatImagesEngine(pattern)
         stats = engine.stats
         before = stats.base_cache_hits + stats.base_cache_misses
         # The twin z leaf is an image of the leaf, so the anchor maps to
@@ -454,9 +454,24 @@ def _twin_chains(depth: int, chains: int = 2) -> TreePattern:
 
 class TestDeepPatterns:
     """Sweeps and witness extraction are iterative: a check may sweep a
-    subtree deeper than the interpreter's recursion limit."""
+    subtree deeper than the interpreter's recursion limit. So are the
+    text front-ends, which read and write such a pattern as nested
+    predicates or forms."""
 
     DEPTH = 600
+
+    @pytest.mark.parametrize(
+        "render, parse",
+        [
+            (to_xpath, parse_xpath),
+            (to_sexpr, parse_sexpr),
+            (lambda pattern: to_sexpr(pattern, pretty=True), parse_sexpr),
+        ],
+        ids=["xpath", "sexpr", "sexpr-pretty"],
+    )
+    def test_text_round_trip_of_deep_twin_chains(self, render, parse):
+        pattern = _twin_chains(self.DEPTH)
+        assert parse(render(pattern)).isomorphic(pattern)
 
     @pytest.mark.parametrize("certify", [False, True])
     def test_session_minimizes_deep_twin_chains(self, certify):

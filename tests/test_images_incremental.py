@@ -5,9 +5,9 @@ Three layers:
 * unit tests for :meth:`FlatImagesEngine.delete_leaf` bookkeeping;
 * a hypothesis property: after any legal sequence of tracked deletions,
   the engine's live tables (relation rows and type index masked by the
-  live set), virtual targets, and redundancy answers are identical to a
-  freshly built engine, and its answers and witnesses to a memo-free
-  one — across random patterns, virtual targets, and pair filters;
+  live set), virtual targets, redundancy answers and witnesses are
+  identical to a freshly built engine — across random patterns, virtual
+  targets, and pair filters;
 * differential tests pinning the incremental drivers (``cim_minimize``,
   ``acim_minimize``, seeded elimination orders) to the from-scratch
   ``incremental=False`` baseline on 200+ seeded random workloads, with
@@ -165,25 +165,16 @@ def _delete_random_leaves(draw, query, engine, rounds: int) -> None:
 def _assert_engines_agree(
     incremental: FlatImagesEngine, fresh: FlatImagesEngine, query
 ) -> None:
-    """``incremental`` (tracked deletions, prune memo on) answers every
-    leaf as ``fresh`` does, and as a memo-free engine does — which checks
-    the slot-keyed memo after deletions."""
+    """``incremental`` (tracked deletions) answers every leaf as
+    ``fresh`` does, with the same witnesses."""
     assert live_ids(incremental) == live_ids(fresh)
     assert live_tables(incremental) == live_tables(fresh)
     assert incremental.virtual == fresh.virtual
-    assert incremental.use_prune_memo
-    memo_free = FlatImagesEngine(
-        query, fresh.virtual, pair_filter=fresh.pair_filter, prune_memo=False
-    )
     for leaf in query.leaves():
         if leaf.is_root or leaf.is_output:
             continue
-        verdict = incremental.is_redundant_leaf(leaf)
-        witness = incremental.redundancy_witness(leaf)
-        assert verdict == fresh.is_redundant_leaf(leaf)
-        assert verdict == memo_free.is_redundant_leaf(leaf)
-        assert witness == fresh.redundancy_witness(leaf)
-        assert witness == memo_free.redundancy_witness(leaf)
+        assert incremental.is_redundant_leaf(leaf) == fresh.is_redundant_leaf(leaf)
+        assert incremental.redundancy_witness(leaf) == fresh.redundancy_witness(leaf)
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,10 +1,9 @@
 """Differential and property tests for the containment-oracle cache.
 
 The load-bearing guarantee is *byte-for-byte equivalence*: with the
-cross-query oracle cache (and its satellite layer, the images-engine
-sibling-subtree prune memo) enabled, every
-oracle answer and every minimizer output must be exactly what the
-uncached code path produces. The differential sweeps here pin that over
+cross-query oracle cache enabled, every oracle answer and every
+minimizer output must be exactly what the uncached code path produces.
+The differential sweeps here pin that over
 hundreds of seeded workloads; the hypothesis suites pin the two
 soundness arguments the cache rests on — remap invariance of the DP
 table under node-id relabeling, and isomorphism implying two-way
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.api import MinimizeOptions
-from repro.batch import BatchMinimizer, minimize_batch
+from repro.batch import minimize_batch
 from repro.bench.experiments import incremental_workload
 from repro.constraints.model import parse_constraints
 from repro.core.acim import acim_minimize
@@ -228,8 +227,8 @@ class TestOracleDifferential:
 
 
 class TestMinimizerDifferential:
-    """CIM / ACIM / CDM / pipeline outputs are unchanged by every cache
-    layer (process-wide oracle cache, prune memo)."""
+    """CIM / ACIM / CDM / pipeline outputs are unchanged by the
+    process-wide oracle cache."""
 
     @pytest.mark.parametrize("offset", range(0, 120, 30))
     def test_cim_acim_unchanged(self, offset):
@@ -239,9 +238,9 @@ class TestMinimizerDifferential:
                 random_query(rng.randint(3, 18), types=["a", "b", "c"], rng=rng),
                 rng=rng,
             )
-            on = acim_minimize(q, oracle_cache=True)
+            on = acim_minimize(q)
             with oracle_cache_disabled():
-                off = acim_minimize(q, oracle_cache=False)
+                off = acim_minimize(q)
             assert on.eliminated == off.eliminated, f"seed {seed}"
             assert to_sexpr(on.pattern) == to_sexpr(off.pattern), f"seed {seed}"
 
@@ -249,9 +248,9 @@ class TestMinimizerDifferential:
     def test_acim_under_constraints_unchanged(self, shape):
         for size in (8, 21, 34):
             q, repo = incremental_workload(size, shape=shape)
-            on = acim_minimize(q, repo, oracle_cache=True)
+            on = acim_minimize(q, repo)
             with oracle_cache_disabled():
-                off = acim_minimize(q, repo, oracle_cache=False)
+                off = acim_minimize(q, repo)
             assert on.eliminated == off.eliminated
             assert to_sexpr(on.pattern) == to_sexpr(off.pattern)
 
@@ -274,9 +273,9 @@ class TestMinimizerDifferential:
                 random_query(rng.randint(3, 14), types=["a", "b", "c"], rng=rng),
                 rng=rng,
             )
-            on = minimize(q, CONSTRAINTS, oracle_cache=True)
+            on = minimize(q, CONSTRAINTS)
             with oracle_cache_disabled():
-                off = minimize(q, CONSTRAINTS, oracle_cache=False)
+                off = minimize(q, CONSTRAINTS)
             assert to_sexpr(on.pattern) == to_sexpr(off.pattern), f"seed {seed}"
             assert on.removed_count == off.removed_count, f"seed {seed}"
 
@@ -297,39 +296,6 @@ class TestMinimizerDifferential:
         assert [to_sexpr(p) for p in on.patterns()] == [
             to_sexpr(p) for p in off.patterns()
         ]
-
-    def test_batch_minimizer_keeps_flag(self):
-        minimizer = BatchMinimizer(CONSTRAINTS, MinimizeOptions(oracle_cache=False))
-        assert minimizer.oracle_cache is False
-        queries = [random_query(6, types=["a", "b", "c"], seed=s) for s in range(4)]
-        batch = minimizer.minimize_all(queries)
-        assert batch.stats.engine_counters.get("prune_memo_hits", 0) == 0
-
-
-class TestPruneMemo:
-    def test_prune_memo_hits_on_heterogeneous_patterns(self):
-        total_hits = 0
-        for seed in range(20):
-            rng = random.Random(seed)
-            q = duplicate_random_branch(
-                random_query(25, types=["a", "b", "c", "d", "e"], rng=rng), rng=rng
-            )
-            result = acim_minimize(q, oracle_cache=True)
-            total_hits += result.images_stats.prune_memo_hits
-        assert total_hits > 0, "prune memo never hit across 20 workloads"
-
-    def test_prune_memo_counters_off_when_disabled(self):
-        q = duplicate_random_branch(random_query(20, seed=1), seed=1)
-        result = acim_minimize(q, oracle_cache=False)
-        assert result.images_stats.prune_memo_hits == 0
-        assert result.images_stats.prune_memo_misses == 0
-
-    def test_images_stats_counters_include_prune_memo(self):
-        q = duplicate_random_branch(random_query(12, seed=2), seed=2)
-        result = acim_minimize(q, oracle_cache=True)
-        counters = result.images_stats.counters()
-        assert "prune_memo_hits" in counters
-        assert "prune_memo_misses" in counters
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +358,9 @@ def test_equivalent_fast_path_fires_on_isomorphic_pairs(q, seed):
 def test_cim_differential_property(q, seed):
     assume(q.size >= 2)
     bloated = isomorphic_shuffle(duplicate_random_branch(q, seed=seed), seed=seed)
-    on = cim_minimize(bloated, oracle_cache=True)
+    on = cim_minimize(bloated)
     with oracle_cache_disabled():
-        off = cim_minimize(bloated, oracle_cache=False)
+        off = cim_minimize(bloated)
     assert on.eliminated == off.eliminated
     assert to_sexpr(on.pattern) == to_sexpr(off.pattern)
 
