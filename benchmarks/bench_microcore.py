@@ -13,7 +13,7 @@ import pytest
 from repro.constraints.closure import closure
 from repro.constraints.model import required_child
 from repro.core.containment import has_containment_mapping
-from repro.core.engine_v2 import FlatImagesEngine
+from repro.core.flat import FlatImagesEngine
 from repro.workloads.querygen import chain_query, duplicate_random_branch, random_query
 
 

@@ -57,7 +57,6 @@ from .core.containment import (
 from .core.ic_containment import equivalent_under as _equivalent_under
 from .core.oracle_cache import oracle_cache_disabled
 from .core.pattern import TreePattern
-from .errors import ReproError
 from .core.pipeline import MinimizeResult
 from .matching.evaluator import ENGINES, Database, evaluate as _evaluate
 from .parsing.serializer import to_xpath
@@ -97,7 +96,7 @@ class MinimizeOptions:
         (``dp``/``twig``/``pathstack``/``twigmerge``).
     oracle_cache:
         ``True`` (default) lets the session's containment checks
-        (:meth:`Session.equivalent`, ``verify``) use the process-wide
+        (:meth:`Session.equivalent`, the audits) use the process-wide
         containment-oracle cache, subject to its global switch, and
         attaches a configured store behind it. ``False`` runs that work
         inside an :func:`~repro.core.oracle_cache.oracle_cache_disabled`
@@ -113,13 +112,6 @@ class MinimizeOptions:
         One of :data:`STRATEGIES`.
     memoize:
         Replay isomorphic duplicates from the fingerprint memo.
-    verify:
-        Re-prove ``input ≡ minimized`` under the constraints for every
-        result served (paranoid mode; raises
-        :class:`~repro.errors.ReproError` on mismatch). The proof goes
-        through the containment oracle, so for workloads with repeated
-        structures its cost is mostly absorbed by the cross-query
-        oracle cache.
     watchdog:
         Per-chunk wall-clock bound (seconds) on pooled work: a chunk
         exceeding it has its hung workers SIGKILLed and is requeued on a
@@ -144,11 +136,9 @@ class MinimizeOptions:
         — has its certificate re-checked by the independent verifier
         before it is served, and a failing record is quarantined
         (deleted, counted, transparently recomputed cold) rather than
-        served. Answers carry ``QueryResult.certificate``. Unlike
-        ``verify`` (which re-proves equivalence with the *same*
-        containment engine), certification is checked by
-        :func:`repro.certify.check_certificate`, which shares no code
-        with the images engines.
+        served. Answers carry ``QueryResult.certificate``. Certificates
+        are checked by :func:`repro.certify.check_certificate`, which
+        shares no code with the images engines.
     audit_rate:
         Sampling rate for the background audit of served answers (the
         service layer's off-hot-path re-verification, and the session's
@@ -162,7 +152,6 @@ class MinimizeOptions:
     jobs: Union[int, str] = 1
     strategy: str = "pipeline"
     memoize: bool = True
-    verify: bool = False
     watchdog: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
     store_path: Optional[str] = None
@@ -575,8 +564,6 @@ class Session:
                 QueryResult.from_batch_item(item, pattern)
                 for item, pattern in zip(batch, patterns)
             ]
-            if self.options.verify:
-                self._verify(results, minimizer.repository)
         self._absorb(batch.stats.counters())
         return results
 
@@ -931,24 +918,6 @@ class Session:
             )
             self._minimizers[key] = minimizer
         return minimizer
-
-    def _verify(self, results: "list[QueryResult]", repository) -> None:
-        """Re-prove input ≡ minimized for every result (``verify=True``).
-
-        Each proof is two containment-oracle calls; across duplicated
-        workloads the cross-query cache serves the repeats, which is why
-        paranoid mode is affordable in the serving layer."""
-        for result in results:
-            if len(repository):
-                ok = _equivalent_under(result.pattern, result.input_pattern, repository)
-            else:
-                ok = _equivalent(result.pattern, result.input_pattern)
-            if not ok:
-                raise ReproError(
-                    "verification failed: minimized query is not equivalent "
-                    f"to its input ({result.summary()})"
-                )
-        self._counters["verified"] = self._counters.get("verified", 0) + len(results)
 
     def _absorb(self, counters: dict[str, float]) -> None:
         for key, value in counters.items():

@@ -9,8 +9,6 @@ from .experiments import (
     fig8b,
     fig9a,
     fig9b,
-    incremental,
-    incremental_workload,
     run_experiment,
 )
 from .report import (
@@ -32,8 +30,6 @@ __all__ = [
     "fig8b",
     "fig9a",
     "fig9b",
-    "incremental",
-    "incremental_workload",
     "run_experiment",
     "format_ascii_plot",
     "format_csv",

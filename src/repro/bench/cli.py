@@ -5,7 +5,7 @@ Installed as ``tpq-bench`` (alias: ``repro-bench``)::
     tpq-bench fig8a                      # one experiment
     tpq-bench all --repeat 5             # everything
     tpq-bench fig9b --csv out.csv        # machine-readable dump
-    tpq-bench incremental --json out.json  # BENCH_*.json-style payload
+    tpq-bench all --json DIR             # one JSON file per figure
     tpq-bench --list
 """
 
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="*",
         metavar="EXPERIMENT",
-        help="figure ids (fig7a fig7b fig8a fig8b fig9a fig9b) or 'all'",
+        help="experiment ids (see --list) or 'all'",
     )
     parser.add_argument("--list", action="store_true", help="list experiment ids and exit")
     parser.add_argument(
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR_OR_FILE",
         help=(
             "also write machine-readable JSON (a file for one experiment, "
-            "a directory for several) — the BENCH_*.json schema"
+            "a directory for several)"
         ),
     )
     return parser

@@ -14,22 +14,15 @@ the constraint repository, not of minimization.
 
 from __future__ import annotations
 
-import asyncio
-import random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
-from ..batch.minimizer import BatchMinimizer
 from ..constraints.closure import closure
 from ..constraints.model import required_child, required_descendant
 from ..constraints.repository import ConstraintRepository
 from ..core.acim import acim_minimize
 from ..core.cdm import cdm_minimize
-from ..core.containment import mapping_targets
-from ..core.oracle_cache import ContainmentOracleCache
 from ..core.pattern import TreePattern
 from ..core.pipeline import minimize
-from ..workloads.arrival import poisson_arrivals
-from ..workloads.batchgen import batch_workload
 from ..workloads.icgen import relevant_constraints
 from ..workloads.querygen import (
     bushy_cdm_query,
@@ -53,12 +46,6 @@ __all__ = [
     "fig8b",
     "fig9a",
     "fig9b",
-    "incremental",
-    "incremental_workload",
-    "batch",
-    "oracle_cache",
-    "oracle_cache_workload",
-    "service",
     "ALL_EXPERIMENTS",
     "run_experiment",
 ]
@@ -419,399 +406,6 @@ def fig9b(*, repeat: int = 3) -> ExperimentResult:
     return result
 
 
-#: Sizes for the incremental-maintenance experiment (kept modest so the
-#: tier-1 smoke test stays fast; ``benchmarks/bench_incremental.py`` runs
-#: the full grid up to 140 nodes).
-_INCREMENTAL_SIZES: tuple[int, ...] = (20, 40, 60, 80, 100)
-
-#: Type-cycle length for the incremental workload — larger than any query
-#: size used, so depth types stay distinct and the depth-chain constraint
-#: set is acyclic.
-_INCREMENTAL_CYCLE = 150
-
-
-def incremental_workload(
-    size: int, *, shape: str = "right-deep"
-) -> tuple[TreePattern, ConstraintRepository]:
-    """The rebuild-vs-incremental workload: a Figure 8(b)-shaped query
-    (``right-deep`` or ``bushy``) typed by depth, under the depth-chain
-    constraint set ``T(d) -> T(d+1)`` (closed).
-
-    Under ACIM every node below the marked root is redundant, so the
-    elimination loop performs ``size - 1`` deletions — the regime where
-    per-deletion engine rebuilds dominate and incremental maintenance
-    pays off. The closed chain closure also hands every node O(size)
-    virtual targets on the right-deep shape, which is exactly the
-    table-heavy configuration Figure 7(b) studies.
-    """
-    if shape == "right-deep":
-        query = right_deep_cdm_query(size, cycle=_INCREMENTAL_CYCLE)
-        n_constraints = size
-    elif shape == "bushy":
-        query = bushy_cdm_query(size, cycle=_INCREMENTAL_CYCLE)
-        n_constraints = query.depth + 2
-    else:
-        raise ValueError(f"unknown incremental workload shape: {shape!r}")
-    return query, closure(chain_constraints(n_constraints))
-
-
-def incremental(
-    *, repeat: int = 3, sizes: Sequence[int] = _INCREMENTAL_SIZES
-) -> ExperimentResult:
-    """Incremental vs from-scratch images-engine maintenance in ACIM.
-
-    Times ``acim_minimize`` with the maintained-engine elimination loop
-    (default) against the historical rebuild-per-deletion baseline
-    (``incremental=False``) on the Figure 8(b) right-deep workload. The
-    result's ``counters`` carry the engine-rebuild and base-cache
-    statistics of the largest incremental run.
-    """
-    result = ExperimentResult(
-        name="incremental",
-        title="ACIM engine maintenance: incremental vs per-deletion rebuild",
-        x_label="query size (nodes)",
-        y_label="ACIM time (s)",
-    )
-    rebuild = Series("Rebuild")
-    incr = Series("Incremental")
-    for size in sizes:
-        query, repo = incremental_workload(size)
-        rebuild.add(
-            size,
-            best_of(
-                lambda: acim_minimize(query, repo, incremental=False), repeat=repeat
-            ),
-        )
-        incr.add(size, best_of(lambda: acim_minimize(query, repo), repeat=repeat))
-    result.series = [rebuild, incr]
-    largest = max(sizes)
-    run = acim_minimize(*incremental_workload(largest))
-    result.counters.update(run.images_stats.counters())
-    result.counters["virtual_targets"] = run.virtual_count
-    speedup = rebuild.ys[-1] / max(incr.ys[-1], 1e-12)
-    result.notes.append(
-        f"incremental maintenance is {speedup:.1f}x faster than per-deletion "
-        f"rebuilds at size {largest} ({run.removed_count} deletions, "
-        f"{run.images_stats.engine_builds} engine build)"
-    )
-    return result
-
-
-#: Figure 8(b)-flavoured batch workload sizes (number of queries).
-_BATCH_COUNTS: tuple[int, ...] = (10, 20, 30, 40, 60)
-_BATCH_DISTINCT = 6
-_BATCH_SIZE = 30
-
-
-def batch(*, repeat: int = 3, counts: Sequence[int] = _BATCH_COUNTS) -> ExperimentResult:
-    """Batch backend vs the naive per-query loop on duplicated workloads.
-
-    Times ``BatchMinimizer`` (closure computed once, isomorphic queries
-    replayed from the fingerprint cache) against the serial
-    ``minimize(q, constraints)`` loop on Figure 8(b)-style workloads with
-    ``_BATCH_DISTINCT`` distinct structures per workload. The counters
-    carry the cache statistics of the largest run.
-    """
-    result = ExperimentResult(
-        name="batch",
-        title="Batch minimization: memoized backend vs serial loop",
-        x_label="workload size (queries)",
-        y_label="total minimization time (s)",
-    )
-    serial = Series("SerialLoop")
-    batched = Series("BatchMemo")
-    for count in counts:
-        queries, constraints = batch_workload(
-            count, kind="fig8", distinct=_BATCH_DISTINCT, size=_BATCH_SIZE, seed=count
-        )
-        serial.add(
-            count,
-            best_of(lambda: [minimize(q, constraints) for q in queries], repeat=repeat),
-        )
-        batched.add(
-            count,
-            best_of(
-                lambda: BatchMinimizer(constraints).minimize_all(queries), repeat=repeat
-            ),
-        )
-    result.series = [serial, batched]
-    largest = max(counts)
-    queries, constraints = batch_workload(
-        largest, kind="fig8", distinct=_BATCH_DISTINCT, size=_BATCH_SIZE, seed=largest
-    )
-    run = BatchMinimizer(constraints).minimize_all(queries)
-    result.counters.update(run.stats.counters())
-    speedup = serial.ys[-1] / max(batched.ys[-1], 1e-12)
-    result.notes.append(
-        f"memoized batch backend is {speedup:.1f}x faster than the serial loop "
-        f"at {largest} queries (hit rate {run.stats.hit_rate:.0%}, "
-        f"{run.stats.distinct} distinct structures)"
-    )
-    return result
-
-
-#: Oracle-cache workload defaults: pairwise containment checks over a
-#: Figure 8(b) repeated-structure workload (the regime the cross-query
-#: cache exists for: few distinct fingerprints, many repeats).
-_ORACLE_COUNTS: tuple[int, ...] = (4, 8, 16, 24, 32)
-_ORACLE_DISTINCT = 4
-#: Query size where the DP clearly outgrows the canonicalize-and-remap
-#: cost of a cache hit (the DP is superlinear, keying is ~n log n).
-_ORACLE_SIZE = 90
-
-
-def oracle_cache_workload(
-    count: int,
-    *,
-    distinct: int = _ORACLE_DISTINCT,
-    size: int = _ORACLE_SIZE,
-    pairs_per_query: int = 4,
-    seed: int = 0,
-) -> list[tuple[TreePattern, TreePattern]]:
-    """A stream of ``pairs_per_query * count`` cross-query containment
-    checks over a ``fig8`` batch workload of ``count`` queries
-    (``distinct`` base structures filled with isomorphic shuffles).
-
-    Each pair asks "does query *i* map into query *j*" — the multi-query
-    optimization question (answer sharing, view caching) that repeats the
-    same (source, target) *content* under different node ids, which is
-    exactly what the cross-query oracle cache keys on.
-    """
-    queries, _ = batch_workload(
-        count, kind="fig8", distinct=distinct, size=size, seed=seed
-    )
-    rng = random.Random(seed + 1)
-    pairs: list[tuple[TreePattern, TreePattern]] = []
-    for _ in range(pairs_per_query * count):
-        source = rng.choice(queries)
-        target = rng.choice(queries)
-        pairs.append((source, target))
-    return pairs
-
-
-def _run_oracle_pairs(pairs, cache) -> list[dict[int, set[int]]]:
-    return [mapping_targets(s, t, cache=cache) for s, t in pairs]
-
-
-def oracle_cache(
-    *, repeat: int = 3, counts: Sequence[int] = _ORACLE_COUNTS
-) -> ExperimentResult:
-    """Cross-query containment-oracle cache vs the raw DP.
-
-    Times the :func:`oracle_cache_workload` pair stream with a fresh
-    :class:`~repro.core.oracle_cache.ContainmentOracleCache` per pass
-    (cold start included — repeats *within* one pass are what hit)
-    against ``cache=None``. The counters carry the cache statistics of
-    the largest run, and the outputs of both passes are verified equal.
-    """
-    result = ExperimentResult(
-        name="oracle_cache",
-        title="Cross-query containment-oracle cache vs uncached DP",
-        x_label="workload size (queries)",
-        y_label="oracle time (s)",
-    )
-    uncached = Series("Uncached")
-    cached = Series("OracleCache")
-    for count in counts:
-        pairs = oracle_cache_workload(count)
-        uncached.add(count, best_of(lambda: _run_oracle_pairs(pairs, None), repeat=repeat))
-        cached.add(
-            count,
-            best_of(
-                lambda: _run_oracle_pairs(pairs, ContainmentOracleCache()),
-                repeat=repeat,
-            ),
-        )
-    result.series = [uncached, cached]
-
-    pairs = oracle_cache_workload(max(counts))
-    cache = ContainmentOracleCache()
-    if _run_oracle_pairs(pairs, cache) != _run_oracle_pairs(pairs, None):
-        raise AssertionError("oracle cache diverged from the uncached DP")
-    result.counters.update(cache.stats.counters())
-    speedup = uncached.ys[-1] / max(cached.ys[-1], 1e-12)
-    result.notes.append(
-        f"content-keyed oracle cache is {speedup:.1f}x faster than the raw DP "
-        f"at {max(counts)} queries (hit rate {cache.stats.hit_rate:.0%}, "
-        f"{cache.stats.remapped_nodes} DP rows served by remap); "
-        f"outputs verified identical"
-    )
-    return result
-
-
-#: Service experiment defaults: a duplicated fig8 stream, replayed at
-#: arrival rates anchored to the measured one-at-a-time capacity so the
-#: congestion knee lands mid-axis on any machine.
-_SERVICE_COUNT = 60
-_SERVICE_DISTINCT = 6
-_SERVICE_SIZE = 24
-_SERVICE_RATE_FACTORS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0)
-
-
-async def _replay_stream(
-    queries, offsets, constraints, *, max_batch_size: int, pipelined: bool
-) -> "tuple[float, object]":
-    """Replay one timed stream through a fresh service.
-
-    ``pipelined=True`` is the micro-batching client: every request is
-    dispatched at its arrival offset, in-flight requests overlap, and
-    close-together arrivals share a batch. ``pipelined=False`` is the
-    one-request-at-a-time client: it never submits request *i+1* before
-    *i*'s response (but never before its arrival offset either), so
-    every batch has one query and waiting never overlaps with work.
-
-    Returns ``(elapsed_seconds, service)`` — the drained service is
-    handed back for its counters.
-    """
-    from ..api import MinimizeOptions
-    from ..service import MinimizationService
-
-    service = MinimizationService(
-        # Paranoid serving mode: every response re-proves input ≡ output
-        # through the containment oracle, so the service stats expose
-        # oracle-cache hits alongside the fingerprint-memo hits.
-        MinimizeOptions(verify=True),
-        constraints=constraints,
-        max_batch_size=max_batch_size,
-        max_wait=0.002,
-        max_queue=max(len(queries), 256),
-    )
-    loop = asyncio.get_running_loop()
-    async with service:
-        start = loop.time()
-
-        async def _one(query, offset: float):
-            delay = start + offset - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            return await service.submit(query)
-
-        if pipelined:
-            await asyncio.gather(
-                *(_one(q, at) for q, at in zip(queries, offsets))
-            )
-        else:
-            for query, offset in zip(queries, offsets):
-                await _one(query, offset)
-        elapsed = loop.time() - start
-    return elapsed, service
-
-
-def _stream_throughput(
-    queries, offsets, constraints, *, max_batch_size: int, pipelined: bool, repeat: int
-) -> "tuple[float, object]":
-    """Best-of-``repeat`` throughput (queries/second) for one replay
-    configuration, plus the fastest run's service (for counters)."""
-    best: Optional[tuple[float, object]] = None
-    for _ in range(repeat):
-        elapsed, svc = asyncio.run(
-            _replay_stream(
-                queries,
-                offsets,
-                constraints,
-                max_batch_size=max_batch_size,
-                pipelined=pipelined,
-            )
-        )
-        throughput = len(queries) / max(elapsed, 1e-9)
-        if best is None or throughput > best[0]:
-            best = (throughput, svc)
-    assert best is not None
-    return best
-
-
-def service(
-    *,
-    repeat: int = 3,
-    count: int = _SERVICE_COUNT,
-    rate_factors: Sequence[float] = _SERVICE_RATE_FACTORS,
-) -> ExperimentResult:
-    """Serving layer: adaptive micro-batching vs one-request-at-a-time.
-
-    Replays a duplicated Figure 8(b) query stream through
-    :class:`~repro.service.MinimizationService` under Poisson arrivals
-    at several offered rates, measured as delivered throughput. Rates
-    are ``rate_factors`` multiples of the measured one-at-a-time
-    capacity (a back-to-back closed-loop run), so the x axis brackets
-    the congestion knee wherever the benchmark runs. The counters carry
-    the micro-batched service's stats at the mid rate — including
-    fingerprint-memo and oracle-cache hits served through the service
-    path (requests are served in paranoid ``verify=True`` mode, whose
-    equivalence re-proofs the oracle cache absorbs for repeats).
-
-    Expected shape: equal at low rates (both arrival-limited), the
-    micro-batched client pulling ahead from the mid rate on (overlapped
-    waiting + per-batch instead of per-request dispatch overhead).
-    """
-    result = ExperimentResult(
-        name="service",
-        title="Minimization service: micro-batched vs one-at-a-time clients",
-        x_label="offered rate (queries/s)",
-        y_label="delivered throughput (queries/s)",
-    )
-    # fig7-flavoured stream: redundancy queries whose sparse constraint
-    # sets keep the verification oracle calls cheap (the closed chain
-    # sets of fig8 make IC-containment explode on augmentation).
-    queries, constraints = batch_workload(
-        count, kind="fig7", distinct=_SERVICE_DISTINCT, size=_SERVICE_SIZE, seed=11
-    )
-    # Closed-loop capacity probe: all offsets at zero, no pipelining.
-    zero_offsets = [0.0] * count
-    capacity, _ = _stream_throughput(
-        queries,
-        zero_offsets,
-        constraints,
-        max_batch_size=1,
-        pipelined=False,
-        repeat=repeat,
-    )
-
-    one_at_a_time = Series("OneAtATime")
-    batched = Series("MicroBatched")
-    mid_factor = sorted(rate_factors)[len(rate_factors) // 2]
-    mid_counters: dict[str, float] = {}
-    mid_pair: "list[float]" = []
-    for rate_index, factor in enumerate(rate_factors):
-        rate = capacity * factor
-        arrival_seed = int(factor * 100)
-        offsets = poisson_arrivals(count, rate, seed=arrival_seed)
-        # Record every rate's arrival seed (indexed in rate order) so a
-        # failed run is reproducible from the artifact alone — the rates
-        # themselves derive from the *measured* capacity, which varies
-        # machine to machine, but the arrival pattern at each rate
-        # factor does not.
-        result.counters[f"arrival_seed_{rate_index}"] = arrival_seed
-        serial_tp, _ = _stream_throughput(
-            queries, offsets, constraints, max_batch_size=1, pipelined=False, repeat=repeat
-        )
-        batched_tp, svc = _stream_throughput(
-            queries, offsets, constraints, max_batch_size=16, pipelined=True, repeat=repeat
-        )
-        x = round(rate, 1)
-        one_at_a_time.add(x, serial_tp)
-        batched.add(x, batched_tp)
-        if factor == mid_factor:
-            mid_counters = svc.counters()
-            mid_pair = [serial_tp, batched_tp]
-            result.counters["mid_rate_factor"] = factor
-    result.series = [one_at_a_time, batched]
-    result.counters.update(
-        {k: v for k, v in mid_counters.items() if isinstance(v, (int, float))}
-    )
-    result.counters["capacity_one_at_a_time"] = capacity
-    if mid_pair:
-        result.counters["mid_rate_one_at_a_time_throughput"] = mid_pair[0]
-        result.counters["mid_rate_batched_throughput"] = mid_pair[1]
-        result.notes.append(
-            f"at the mid ({mid_factor:g}x-capacity) rate the micro-batched client delivers "
-            f"{mid_pair[1]:.0f} q/s vs {mid_pair[0]:.0f} q/s one-at-a-time "
-            f"({mid_pair[1] / max(mid_pair[0], 1e-9):.2f}x); fingerprint hits "
-            f"{mid_counters.get('cache_hits', 0):.0f}, oracle-cache hits "
-            f"{mid_counters.get('oracle_cache_hits', 0):.0f}"
-        )
-    return result
-
-
 #: Registry of all experiment drivers, keyed by figure id.
 ALL_EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "fig7a": fig7a,
@@ -821,10 +415,6 @@ ALL_EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "fig8b": fig8b,
     "fig9a": fig9a,
     "fig9b": fig9b,
-    "incremental": incremental,
-    "batch": batch,
-    "oracle_cache": oracle_cache,
-    "service": service,
 }
 
 

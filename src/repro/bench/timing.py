@@ -75,10 +75,6 @@ class ExperimentResult:
     notes:
         Free-form observations recorded by the driver (removal counts,
         measured ratios, ...).
-    counters:
-        Instrumentation counters recorded by the driver — engine rebuild
-        counts, cache hit/miss rates, and similar machine-readable facts
-        that a timing series cannot carry. Serialized by :meth:`to_dict`.
     """
 
     name: str
@@ -87,7 +83,6 @@ class ExperimentResult:
     y_label: str
     series: list[Series] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    counters: dict[str, float] = field(default_factory=dict)
 
     def series_by_label(self, label: str) -> Series:
         """Find a series by its label (``KeyError`` if missing)."""
@@ -106,7 +101,7 @@ class ExperimentResult:
 
     def to_dict(self) -> dict:
         """A JSON-serializable dict of the whole result (the payload of
-        ``tpq-bench --json`` and the ``BENCH_*.json`` artifacts)."""
+        ``tpq-bench --json``)."""
         return {
             "name": self.name,
             "title": self.title,
@@ -117,5 +112,4 @@ class ExperimentResult:
                 for s in self.series
             ],
             "notes": list(self.notes),
-            "counters": dict(self.counters),
         }

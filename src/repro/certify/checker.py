@@ -11,7 +11,7 @@ constraint closure (Section 5.2).
 
 **Independence argument.** The checker deliberately shares no code with
 the images engine that *produced* the witnesses
-(:class:`repro.core.engine_v2.FlatImagesEngine`):
+(:class:`repro.core.flat.FlatImagesEngine`):
 it never builds images sets, ancestor/descendant hash tables, or bitset
 tables — each claim is checked by direct recursive walks over the
 pattern data model (:class:`~repro.core.pattern.TreePattern` /

@@ -32,7 +32,7 @@ from .containment import (
     is_contained_in,
 )
 from .images import ImagesStats, VirtualTarget
-from .engine_v2 import FlatImagesEngine
+from .flat import FlatImagesEngine
 from .cim import CimResult, cim_minimize, is_minimal
 from .cim_naive import cim_minimize_naive
 from .normalize import DedupResult, dedup_siblings

@@ -16,12 +16,12 @@ hands it :class:`~repro.core.images.VirtualTarget` rows (never-materialized
 temporary nodes, per Section 6.1) which act as extra mapping targets and
 are dropped automatically when their anchor node is eliminated.
 
-The driver maintains **one** :class:`~repro.core.engine_v2.FlatImagesEngine`
+CIM maintains **one** :class:`~repro.core.flat.FlatImagesEngine`
 for the whole elimination loop, applying
-:meth:`~repro.core.engine_v2.FlatImagesEngine.delete_leaf` after each deletion —
+:meth:`~repro.core.flat.FlatImagesEngine.delete_leaf` after each deletion —
 the O(n⁴) bound of Section 4 assumes exactly this maintenance; rebuilding
 the tables per deletion (the pre-incremental behaviour, kept as
-``incremental=False`` for differential testing and benchmarking) adds an
+``incremental=False`` as the differential tests' reference) adds an
 O(n²) rebuild to every one of up to n deletions.
 """
 
@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .engine_v2 import FlatImagesEngine
+from .flat import FlatImagesEngine
 from .images import ImagesStats, VirtualTarget
 from .node import PatternNode
 from .pattern import TreePattern

@@ -20,7 +20,7 @@ both implementations must produce isomorphic results on every input.
 from __future__ import annotations
 
 from .cim import CimResult
-from .engine_v2 import FlatImagesEngine
+from .flat import FlatImagesEngine
 from .images import ImagesStats
 from .node import PatternNode
 from .pattern import TreePattern

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import oracle_cache as _oracle_cache
-from .engine_v2 import flat_mapping_targets
+from .flat import flat_mapping_targets
 from .fingerprint import are_isomorphic
 from .node import PatternNode
 from .pattern import TreePattern
@@ -129,7 +129,7 @@ def mapping_targets(
     onto the caller's node ids on a hit — identical output, no DP. Pass
     ``cache=None`` for an uncached run, or an explicit cache instance to
     use instead of the global one. The DP itself runs over bitsets in
-    :func:`repro.core.engine_v2.flat_mapping_targets`.
+    :func:`repro.core.flat.flat_mapping_targets`.
     """
     if stats is None:
         stats = ContainmentStats()

@@ -1,6 +1,6 @@
 """Shared types of the ``redundant-leaf`` test (Figure 3 of the paper).
 
-The test itself runs in :class:`repro.core.engine_v2.FlatImagesEngine`,
+The test itself runs in :class:`repro.core.flat.FlatImagesEngine`,
 which documents the algorithm. This module holds the two types its
 callers share with it:
 

@@ -25,17 +25,18 @@ A single process-wide instance (:func:`global_cache`) backs
 ``mapping_targets`` by default, so repeated oracle calls — equivalence
 checks in tests, the brute-force minimizer, containment-under-ICs, and
 cross-query workloads — share one table store. Disable it process-wide
-with :func:`set_global_enabled` (the CLIs expose ``--no-oracle-cache``),
-per call with ``cache=None``, or temporarily with
-:func:`oracle_cache_disabled`. The cache is deliberately *not*
+with :func:`set_global_enabled`, per call with ``cache=None``, or
+temporarily with :func:`oracle_cache_disabled` (the scope behind
+``MinimizeOptions(oracle_cache=False)`` and ``repro-serve
+--no-oracle-cache``). The cache is deliberately *not*
 picklable state: worker processes of the batch backend simply rebuild
 their own global instance on first use, which keeps
 :class:`~repro.batch.minimizer.BatchMinimizer` composition trivial.
 
 Entries are LRU-evicted beyond ``maxsize``; every transition is counted
 in :class:`OracleCacheStats` (hits, misses, remapped nodes, stores,
-evictions, collisions) for the observability surfaces: ``repro-bench
---json``, ``benchmarks/bench_oracle_cache.py``, and the CLI
+evictions, collisions) for the observability surfaces:
+``Session.counters()``, the service's ``stats`` op, and the CLI
 ``--explain`` output.
 """
 
@@ -467,9 +468,8 @@ def global_enabled() -> bool:
 
 
 def set_global_enabled(enabled: bool) -> None:
-    """Enable/disable the process-wide cache (the ``--no-oracle-cache``
-    escape hatch). Disabling does not drop existing entries; re-enabling
-    resumes with the same store."""
+    """Enable/disable the process-wide cache. Disabling does not drop
+    existing entries; re-enabling resumes with the same store."""
     global _global_enabled
     _global_enabled = bool(enabled)
 

@@ -315,20 +315,20 @@ class TreePattern:
     # ------------------------------------------------------------------
 
     def __reduce_ex__(self, protocol):
-        """Pickle through the flat array form (:mod:`repro.core.engine_v2`).
+        """Pickle through the flat array form (:mod:`repro.core.flat`).
 
         A pattern's natural object graph is cyclic (parent/child links,
         node→pattern backrefs) and recursion-deep for chain queries;
-        shipping a :class:`~repro.core.engine_v2.FlatPattern` instead
+        shipping a :class:`~repro.core.flat.FlatPattern` instead
         keeps batch-worker pickles small and depth-independent. The
         round trip preserves node ids, the id counter, and child
         insertion order, so unpickled patterns behave identically.
         """
-        from . import engine_v2  # local import: engine_v2 imports this module
+        from . import flat  # local import: flat imports this module
 
         return (
-            engine_v2.pattern_from_flat,
-            (engine_v2.FlatPattern.from_pattern(self),),
+            flat.pattern_from_flat,
+            (flat.FlatPattern.from_pattern(self),),
         )
 
     def copy(self) -> "TreePattern":

@@ -27,10 +27,9 @@
 * **graceful drain** — :meth:`aclose` stops accepting new requests,
   processes everything already queued, then releases the pool.
 
-The service is exposed three ways: in-process (``async with
-MinimizationService(...)``), over a JSON-lines stdio/TCP protocol
-(:mod:`repro.service.protocol`, the ``repro-serve`` console script), and
-through the ``repro-bench service`` experiment.
+The service is exposed two ways: in-process (``async with
+MinimizationService(...)``) and over a JSON-lines stdio/TCP protocol
+(:mod:`repro.service.protocol`, the ``repro-serve`` console script).
 """
 
 from __future__ import annotations

@@ -73,8 +73,10 @@ __all__ = [
 #: Payload format version. Bumped when the pickled payload shape (or the
 #: pattern encoding it relies on) changes incompatibly; records written
 #: under another format degrade to counted misses. Format 2 added the
-#: witness :class:`~repro.certify.Certificate` slot to ``min`` payloads.
-STORE_FORMAT = 2
+#: witness :class:`~repro.certify.Certificate` slot to ``min`` payloads;
+#: format 3 pickles patterns through ``repro.core.flat.pattern_from_flat``
+#: (the module was ``repro.core.engine_v2``).
+STORE_FORMAT = 3
 
 #: Record families. ``min``: fingerprint → (representative pattern,
 #: elimination replay), keyed under the closure digest. ``oracle``:

@@ -102,14 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
             "repro-serve protocol returns"
         ),
     )
-    parser.add_argument(
-        "--no-oracle-cache",
-        action="store_true",
-        help=(
-            "disable the containment-oracle cache layers during --minimize "
-            "(results are identical either way)"
-        ),
-    )
     return parser
 
 
@@ -170,11 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         trees = [tree for tree, _ in loaded]
         docs = [(path, is_dir) for path, (_, is_dir) in zip(documents, loaded)]
 
-        options = MinimizeOptions(
-            engine=args.engine,
-            jobs=args.jobs,
-            oracle_cache=not args.no_oracle_cache,
-        )
+        options = MinimizeOptions(engine=args.engine, jobs=args.jobs)
         with Session(options, constraints=constraints) as session:
             minimized_results = None
             if args.minimize:

@@ -138,14 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
             "With --json the certificate is included in the output"
         ),
     )
-    parser.add_argument(
-        "--no-oracle-cache",
-        action="store_true",
-        help=(
-            "disable the process-wide containment-oracle cache (results "
-            "are identical either way)"
-        ),
-    )
     return parser
 
 
@@ -173,11 +165,7 @@ def _read_batch_queries(path: Path, use_sexpr: bool) -> list:
 def _session_options(args) -> MinimizeOptions:
     """The one configuration object both CLI paths hand to ``Session``
     (no engine/cache kwargs threaded anywhere below this line)."""
-    return MinimizeOptions(
-        jobs=args.jobs,
-        oracle_cache=not args.no_oracle_cache,
-        certify=args.certify,
-    )
+    return MinimizeOptions(jobs=args.jobs, certify=args.certify)
 
 
 def _emit_json(results: "list[QueryResult]", fmt: str) -> None:
@@ -319,16 +307,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.batch is not None:
             return _run_batch(args, constraints)
-        if args.algorithm == "pipeline":
-            return _run_single(args, constraints)
-        # Standalone-algorithm runs honor --no-oracle-cache through the
-        # re-entrant scope (never the process-global switch).
-        from ..core.oracle_cache import oracle_cache_disabled
-        from contextlib import nullcontext
-
-        guard = oracle_cache_disabled() if args.no_oracle_cache else nullcontext()
-        with guard:
-            return _run_single(args, constraints)
+        return _run_single(args, constraints)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

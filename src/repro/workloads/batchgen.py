@@ -31,7 +31,7 @@ __all__ = ["isomorphic_shuffle", "batch_workload", "chaos_workload", "BATCH_WORK
 BATCH_WORKLOAD_KINDS = ("fig7", "fig8", "mixed")
 
 #: Type-cycle length for the Figure 8 shapes — larger than any size used,
-#: so depth types stay distinct (mirrors the incremental experiment).
+#: so depth types stay distinct.
 _FIG8_CYCLE = 150
 
 

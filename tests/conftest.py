@@ -14,7 +14,12 @@ from repro.core.containment import equivalent, find_containment_mapping
 from repro.core.edges import EdgeKind
 from repro.data.generate import random_satisfying_tree
 from repro.matching.evaluator import agree_on
-from repro.workloads.querygen import random_query
+from repro.workloads.querygen import (
+    bushy_cdm_query,
+    chain_constraints,
+    random_query,
+    right_deep_cdm_query,
+)
 
 
 def assert_valid_mapping(source: TreePattern, target: TreePattern, mapping: dict[int, int]):
@@ -97,3 +102,18 @@ def spine_query(rng: random.Random, size: int) -> TreePattern:
         for _ in range(rng.randint(1, 4)):
             pattern.add_child(spine[depth], f"R{depth}", EdgeKind.CHILD)
     return pattern
+
+
+def incremental_workload(size: int, *, shape: str = "right-deep"):
+    """A Figure 8(b)-shaped query (``right-deep`` or ``bushy``) typed by
+    depth, under the closed depth-chain set ``T(d) -> T(d+1)``. Under
+    ACIM every node below the marked root is redundant, so the
+    elimination loop makes ``size - 1`` deletions on one engine. The
+    type cycle (150) exceeds every size used, so the chain is acyclic."""
+    if shape == "right-deep":
+        query = right_deep_cdm_query(size, cycle=150)
+        n_constraints = size
+    else:
+        query = bushy_cdm_query(size, cycle=150)
+        n_constraints = query.depth + 2
+    return query, closure(chain_constraints(n_constraints))

@@ -21,7 +21,6 @@ from repro.constraints.repository import ConstraintRepository
 from repro.core import oracle_cache
 from repro.core.pipeline import minimize
 from repro.data.generate import random_tree
-from repro.errors import ReproError
 from repro.matching.evaluator import evaluate
 from repro.parsing.sexpr import to_sexpr
 from repro.parsing.xpath import parse_xpath
@@ -49,7 +48,6 @@ class TestMinimizeOptions:
         assert options.strategy == "pipeline"
         assert options.jobs == 1
         assert options.oracle_cache is True
-        assert options.verify is False
         assert options.use_cdm_prefilter is True
 
     def test_validation(self):
@@ -95,23 +93,6 @@ class TestSessionDifferential:
         assert [to_sexpr(r.pattern) for r in results] == [
             to_sexpr(minimize(q, constraints).pattern) for q in queries
         ]
-
-    def test_verify_mode_is_invisible_when_correct(self):
-        queries, constraints = batch_workload(8, kind="fig7", distinct=2, size=12, seed=3)
-        with Session(MinimizeOptions(verify=True), constraints=constraints) as session:
-            results = session.minimize_many(queries)
-            assert session.counters()["verified"] == 8
-        assert [to_sexpr(r.pattern) for r in results] == [
-            to_sexpr(minimize(q, constraints).pattern) for q in queries
-        ]
-
-    def test_verify_mode_catches_wrong_output(self, monkeypatch):
-        import repro.api as api_module
-
-        monkeypatch.setattr(api_module, "_equivalent_under", lambda *a: False)
-        with Session(MinimizeOptions(verify=True), constraints=CONSTRAINTS) as session:
-            with pytest.raises(ReproError, match="verification failed"):
-                session.minimize_many([parse_xpath("a/b[c][c]")])
 
 
 class TestSession:

@@ -69,7 +69,6 @@ def test_session_api_is_exported():
         "jobs",
         "strategy",
         "memoize",
-        "verify",
         "watchdog",
         "fault_plan",
         "store_path",

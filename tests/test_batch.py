@@ -11,6 +11,7 @@ constraints.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import random
 from types import SimpleNamespace
@@ -92,6 +93,19 @@ class TestDifferential:
         assert [to_sexpr(i.pattern) for i in batch] == serial_loop(
             queries, constraints
         )
+
+    @pytest.mark.parametrize("kind", ("fig7", "fig8", "mixed"))
+    def test_paper_workloads_at_pool_width(self, kind):
+        """A pool of up to four workers on 12 queries of 4 structures:
+        the serial loop's bytes, and every repeat replayed."""
+        queries, constraints = batch_workload(12, kind=kind, distinct=4, size=20, seed=7)
+        options = MinimizeOptions(jobs=min(4, os.cpu_count() or 1))
+        with BatchMinimizer(constraints, options) as minimizer:
+            batch = minimizer.minimize_all(queries)
+        assert [to_sexpr(i.pattern) for i in batch] == serial_loop(
+            queries, constraints
+        )
+        assert batch.stats.cache_hits == len(queries) - batch.stats.distinct
 
     @pytest.mark.parametrize("memoize", (True, False))
     def test_memoize_toggle_is_invisible(self, memoize):

@@ -581,22 +581,26 @@ def test_tampered_oracle_row_quarantined_on_audited_load(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Differential sweep (the full 400-workload sweep runs in bench_certify)
+# Differential sweep
 # ---------------------------------------------------------------------------
 
 
 def test_differential_sweep_certify_is_transparent():
     """``certify=True`` changes nothing about the answers — it only adds
-    proofs, all of which verify."""
-    queries, constraints = batch_workload(
-        40, kind="mixed", distinct=10, size=12, seed=11
-    )
-    with Session(MinimizeOptions(), constraints=constraints) as plain:
-        baseline = plain.minimize_many(queries)
-    with Session(MinimizeOptions(certify=True), constraints=constraints) as session:
-        certified = session.minimize_many(queries)
-        for base, result in zip(baseline, certified):
-            assert to_sexpr(base.pattern) == to_sexpr(result.pattern)
-            assert base.eliminated == result.eliminated
-            assert result.certificate is not None
-            assert session.check_certificate(result).ok
+    proofs, all of which verify. Mixed Figure 7/8 sweeps of 40 queries
+    (seed 11), 80 and 400 (seed 23), with one structure per 8 queries."""
+    for count, seed in ((40, 11), (80, 23), (400, 23)):
+        queries, constraints = batch_workload(
+            count, kind="mixed", distinct=max(10, count // 8), size=12, seed=seed
+        )
+        with Session(MinimizeOptions(), constraints=constraints) as plain:
+            baseline = plain.minimize_many(queries)
+        with Session(
+            MinimizeOptions(certify=True), constraints=constraints
+        ) as session:
+            certified = session.minimize_many(queries)
+            for base, result in zip(baseline, certified):
+                assert to_sexpr(base.pattern) == to_sexpr(result.pattern)
+                assert base.eliminated == result.eliminated
+                assert result.certificate is not None
+                assert session.check_certificate(result).ok

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.tools.eval_cli import main as eval_main
 from repro.tools.minimize_cli import main
 
 
@@ -131,3 +132,17 @@ class TestBatchMode:
         queries.write_text("a/b\na[[\n")
         assert main(["--batch", str(queries)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cli, argv",
+    [(main, ["a/b[c][c]"]), (eval_main, ["a/b", "doc.xml", "--minimize"])],
+    ids=["tpq-minimize", "tpq-eval"],
+)
+def test_no_oracle_cache_flag_is_rejected(cli, argv, capsys):
+    """Minimization never consults the containment-oracle cache, so
+    neither tool offers a switch for it (``repro-serve`` still does)."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli(argv + ["--no-oracle-cache"])
+    assert exit_info.value.code == 2
+    assert "--no-oracle-cache" in capsys.readouterr().err

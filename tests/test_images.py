@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import CHILD, DESCENDANT, TreePattern
-from repro.core.engine_v2 import FlatImagesEngine
+from repro.core.flat import FlatImagesEngine
 from repro.core.images import ImagesStats, VirtualTarget
 from repro.errors import InvalidPatternError
 

@@ -27,11 +27,19 @@ from repro.core.bruteforce import exhaustive_minimize
 from repro.core.chase import augmentation_targets
 from repro.core.cim_naive import cim_minimize_naive
 from repro.core.edges import EdgeKind
-from repro.core.engine_v2 import FlatImagesEngine
+from repro.core.flat import FlatImagesEngine
 from repro.core.images import ImagesStats, VirtualTarget
 from repro.errors import InvalidPatternError
 from repro.workloads.icgen import relevant_constraints
-from repro.workloads.querygen import duplicate_random_branch, random_query
+from repro.workloads.querygen import (
+    chain_constraints,
+    chain_query,
+    duplicate_random_branch,
+    random_query,
+    redundancy_query,
+)
+
+from conftest import incremental_workload
 
 TYPES = ["a", "b", "c"]
 
@@ -272,6 +280,40 @@ def test_acim_incremental_matches_rebuild(seed):
     assert fast.eliminated == slow.eliminated
     assert fast.virtual_count == slow.virtual_count
     assert fast.pattern.isomorphic(slow.pattern)
+
+
+def _figure_workload(name: str, x: int):
+    if name == "fig7-chain":
+        return chain_query(x), closure(chain_constraints(x))
+    if name == "fig7-redundancy":
+        query, driving = redundancy_query(
+            101, red_nodes=x // 10, red_degree=10, seed=90
+        )
+        return query, closure(driving)
+    return incremental_workload(x, shape=name.removeprefix("fig8-"))
+
+
+@pytest.mark.parametrize(
+    "name, x",
+    [
+        ("fig7-chain", 20),
+        ("fig7-chain", 40),
+        ("fig7-redundancy", 30),
+        ("fig8-right-deep", 20),
+        ("fig8-right-deep", 40),
+        ("fig8-bushy", 20),
+        ("fig8-bushy", 40),
+    ],
+)
+def test_figure_workloads_delete_on_one_engine(name, x):
+    """On the Figure 7 and 8 workloads ACIM builds one engine and
+    deletes every removed node from it, with the rebuild loop's answer."""
+    query, repo = _figure_workload(name, x)
+    fast = acim_minimize(query, repo)
+    slow = acim_minimize(query, repo, incremental=False)
+    assert fast.eliminated == slow.eliminated
+    assert fast.images_stats.engine_builds == 1
+    assert fast.images_stats.incremental_deletes == fast.removed_count
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -19,7 +19,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.api import MinimizeOptions
 from repro.batch import minimize_batch
-from repro.bench.experiments import incremental_workload
 from repro.constraints.model import parse_constraints
 from repro.core.acim import acim_minimize
 from repro.core.cdm import cdm_minimize
@@ -45,6 +44,8 @@ from repro.core.pipeline import minimize
 from repro.parsing.sexpr import to_sexpr
 from repro.workloads import batch_workload, isomorphic_shuffle, random_query
 from repro.workloads.querygen import duplicate_random_branch
+
+from conftest import incremental_workload
 
 CONSTRAINTS = parse_constraints("a -> b; b ->> c; a ~ c")
 
@@ -224,6 +225,20 @@ class TestOracleDifferential:
                 is_contained_in(q2, q1),
                 equivalent(q1, q2),
             ) == raw, f"warm round diverged (seed {seed})"
+
+    @pytest.mark.parametrize("count", (8, 16, 32))
+    def test_repeated_structure_pair_stream(self, count):
+        """The regime the cache exists for: ``4 * count`` cross-query
+        checks over a Figure 8 workload of ``count`` size-90 queries on
+        4 structures, so the same content repeats under new node ids."""
+        queries, _ = batch_workload(count, kind="fig8", distinct=4, size=90, seed=0)
+        rng = random.Random(1)
+        pairs = [(rng.choice(queries), rng.choice(queries)) for _ in range(4 * count)]
+        cache = ContainmentOracleCache()
+        cached = [mapping_targets(s, t, cache=cache) for s, t in pairs]
+        assert cached == [mapping_targets(s, t, cache=None) for s, t in pairs]
+        assert cache.stats.hits > 0
+        assert cache.stats.collisions == 0
 
 
 class TestMinimizerDifferential:

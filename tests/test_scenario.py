@@ -348,8 +348,8 @@ def test_example_specs_validate():
         assert loaded.events > 0
 
 
-#: The event digests recorded in BENCH_scenario.json for the shipped
-#: packs. Byte-identical results are the bar for every change to the
+#: The event digests of the shipped packs replayed on a session.
+#: Byte-identical results are the bar for every change to the
 #: minimization stack, and a digest covers every served answer of a
 #: replay, so a drift in any of them fails here.
 COMMITTED_DIGESTS = {
@@ -359,14 +359,43 @@ COMMITTED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(COMMITTED_DIGESTS))
-def test_committed_scenario_digests_reproduce(name):
+def replay_pack(name: str, **kwargs):
+    """Replay one shipped pack from a cold process-wide oracle cache."""
     from pathlib import Path
 
     from repro.core.oracle_cache import reset_global_cache
-    from repro.scenario import load_spec, run_scenario
+    from repro.scenario import load_spec
 
     pack = Path(__file__).resolve().parent.parent / "docs" / "scenarios"
     reset_global_cache()
-    report = run_scenario(load_spec(pack / name), target="session")
+    return run_scenario(load_spec(pack / name), **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_DIGESTS))
+def test_committed_scenario_digests_reproduce(name):
+    report = replay_pack(name, target="session")
     assert report.digest == COMMITTED_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name, paced", [("burst.json", True), ("churn-heavy.json", False)]
+)
+def test_committed_scenario_digests_hold_on_the_service(name, paced):
+    """The event log measures the workload, not the backend: the burst
+    pack paced on a live service and the churn pack on a service give
+    the session's digests."""
+    report = replay_pack(name, target="service", paced=paced)
+    assert report.digest == COMMITTED_DIGESTS[name]
+
+
+def test_churn_pack_invalidates_and_passes_cold_probes():
+    """The churn pack's live IC updates drop closure-keyed replays, keep
+    the closure-free oracle entries, and every cold probe after a churn
+    matches a fresh session; the probes leave the digest alone."""
+    report = replay_pack("churn-heavy.json", target="session", verify=True)
+    assert report.digest == COMMITTED_DIGESTS["churn-heavy.json"]
+    assert report.ic_updates > 0
+    assert report.invalidated_replays > 0
+    assert report.surviving_oracle_entries > 0
+    assert report.verify_probes > 0
+    assert report.verify_failures == []

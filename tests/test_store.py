@@ -61,10 +61,10 @@ def sexprs(results) -> "list[str]":
     return [to_sexpr(r.pattern) for r in results]
 
 
-def fig8_stream(count: int = 24, *, seed: int = 5):
+def fig8_stream(count: int = 24, *, seed: int = 5, distinct: int = 6):
     """A repeated-structure workload plus serial expected outputs."""
     queries, constraints = batch_workload(
-        count, kind="fig8", distinct=6, size=24, seed=seed
+        count, kind="fig8", distinct=distinct, size=24, seed=seed
     )
     expected = [to_sexpr(minimize(q, constraints).pattern) for q in queries]
     return queries, constraints, expected
@@ -339,6 +339,48 @@ class TestSessionIntegration:
         assert under_b == to_sexpr(minimize(query, ics_b).pattern)
         assert under_b != under_a
         assert counters["store_invalidations"] > 0
+
+    def test_every_restart_leg_serves_the_serial_answers(self, tmp_path):
+        """Five restarts over a 90-query stream of 10 structures: cold,
+        warm, consult (no preload), every checksum flipped, and one
+        constraint dropped. Each serves the serial loop's bytes and
+        counts the work it did."""
+        path = tmp_path / "s.db"
+        queries, constraints, expected = fig8_stream(90, seed=13, distinct=10)
+
+        def restart(ics, **session_args):
+            reset_global_cache()
+            with Session(constraints=ics, **session_args) as s:
+                return sexprs(s.minimize_many(queries)), s.counters()
+
+        def consult(file, ics):
+            with PersistentStore(file, warm_limit=0) as store:
+                return restart(ics, store=store)
+
+        cold, _ = restart(constraints, options=MinimizeOptions(store_path=str(path)))
+        warm, warm_counters = restart(
+            constraints, options=MinimizeOptions(store_path=str(path))
+        )
+        consulted, consult_counters = consult(path, constraints)
+        corrupt = tmp_path / "corrupt.db"
+        corrupt.write_bytes(path.read_bytes())
+        TestCorruptionTolerance._mutate(
+            corrupt,
+            "UPDATE records SET checksum = CASE substr(checksum, 1, 1) "
+            "WHEN '0' THEN '1' ELSE '0' END || substr(checksum, 2)",
+        )
+        degraded, corrupt_counters = consult(corrupt, constraints)
+        churned = list(constraints)[:-1]
+        after_churn, churn_counters = consult(path, churned)
+
+        assert cold == warm == consulted == degraded == expected
+        assert warm_counters["store_warm_loaded"] > 0
+        assert consult_counters["store_hits"] > 0
+        assert corrupt_counters["store_corrupt_records"] > 0
+        assert after_churn == [
+            to_sexpr(minimize(q, churned).pattern) for q in queries
+        ]
+        assert churn_counters["store_invalidations"] > 0
 
     def test_closure_digest_is_content_addressed(self):
         a = coerce_repository(parse_constraints("a -> b; b ->> c"))
