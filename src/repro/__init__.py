@@ -98,7 +98,7 @@ from .batch import (
     evaluate_batch,
     minimize_batch,
 )
-from .api import STRATEGIES, MinimizeOptions, QueryResult, Session
+from .api import MinimizeOptions, QueryResult, Session
 from .store import PersistentStore, StoreStats
 from .resilience import (
     AsyncServiceClient,
@@ -136,7 +136,6 @@ __all__ = [
     "MinimizeOptions",
     "QueryResult",
     "Session",
-    "STRATEGIES",
     # persistent content-addressed cache tier
     "PersistentStore",
     "StoreStats",

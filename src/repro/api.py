@@ -8,8 +8,8 @@ serving layer each re-invented the plumbing. :class:`Session` collapses
 that into a single configuration path:
 
 * :class:`MinimizeOptions` — one frozen dataclass capturing *all* the
-  knobs (``engine``, ``oracle_cache``, ``jobs``, ``strategy``, plus the
-  batch-backend tuning fields);
+  knobs (``engine``, ``oracle_cache``, ``jobs``, plus the batch-backend
+  tuning fields);
 * :class:`Session` — a facade owning the engine/cache/jobs wiring:
   ``session.minimize(...)``, ``session.minimize_many(...)``,
   ``session.evaluate(...)``, ``session.equivalent(...)``. A session
@@ -29,20 +29,25 @@ Quickstart::
         print(result.summary())        # '4 -> 3 nodes ...'
         print(result.to_json()["minimized"])
 
-Sessions honor ``oracle_cache=False`` through the re-entrant
+Sessions honor ``oracle_cache=False`` by running :meth:`Session.equivalent`
+inside the re-entrant
 :func:`~repro.core.oracle_cache.oracle_cache_disabled` scope — they never
 mutate the process-wide switch, so concurrent sessions with different
-settings compose. The setting scopes only the session's containment
-checks; minimization never consults that cache.
+settings compose. Equivalence is the only session call that consults
+that cache: minimization and the certificate checker never do.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Optional, Sequence, Union
 
+from .batch.evaluation import evaluate_batch
+from .batch.executor import ExecutorStats
+from .batch.minimizer import BatchMinimizer, BatchStats
 from .constraints.model import IntegrityConstraint
 from .constraints.repository import (
     ConstraintRepository,
@@ -55,27 +60,29 @@ from .core.containment import (
     is_contained_in as _is_contained_in,
 )
 from .core.ic_containment import equivalent_under as _equivalent_under
-from .core.oracle_cache import oracle_cache_disabled
+from .core.images import ImagesStats
+from .core.oracle_cache import (
+    OracleCacheStats,
+    global_cache,
+    global_store,
+    oracle_cache_disabled,
+    set_global_store,
+    set_global_store_audit,
+)
 from .core.pattern import TreePattern
 from .core.pipeline import MinimizeResult
 from .matching.evaluator import ENGINES, Database, evaluate as _evaluate
 from .parsing.serializer import to_xpath
 from .parsing.sexpr import to_sexpr
 from .resilience.faults import FaultInjector, FaultPlan
+from .store import PersistentStore, StoreStats
 
 __all__ = [
     "ConstraintUpdateResult",
     "MinimizeOptions",
     "QueryResult",
     "Session",
-    "STRATEGIES",
 ]
-
-#: Minimization strategies understood by :class:`MinimizeOptions`:
-#: ``"pipeline"`` is CDM-then-ACIM (the paper's recommended Theorem 5.3
-#: configuration), ``"acim"`` runs ACIM directly (identical result,
-#: slower — the Figure 9(b) baseline).
-STRATEGIES = ("pipeline", "acim")
 
 #: Any constraint argument :func:`coerce_repository` accepts: a
 #: repository, ``None``, notation strings, constraint objects, or
@@ -89,27 +96,29 @@ Constraints = Union[
 class MinimizeOptions:
     """Every configuration knob of the minimization stack, in one place.
 
+    Minimization always runs CDM then ACIM
+    (:func:`repro.core.pipeline.minimize`), the paper's Theorem 5.3
+    configuration; ACIM alone gives the same query, slower (Figure 9(b)).
+
     Attributes
     ----------
     engine:
         Matching engine used by :meth:`Session.evaluate`
         (``dp``/``twig``/``pathstack``/``twigmerge``).
     oracle_cache:
-        ``True`` (default) lets the session's containment checks
-        (:meth:`Session.equivalent`, the audits) use the process-wide
-        containment-oracle cache, subject to its global switch, and
-        attaches a configured store behind it. ``False`` runs that work
-        inside an :func:`~repro.core.oracle_cache.oracle_cache_disabled`
-        scope (the global switch is untouched) and leaves the store
-        detached. Minimization itself never consults the cache, so
-        answers are identical either way.
+        ``True`` (default) lets :meth:`Session.equivalent` (and its
+        fast-path audits) use the process-wide containment-oracle cache,
+        subject to its global switch, and attaches a configured store
+        behind it. ``False`` runs equivalence inside an
+        :func:`~repro.core.oracle_cache.oracle_cache_disabled` scope (the
+        global switch is untouched) and leaves the store detached.
+        Minimization and the certificate checker never consult the
+        cache, so answers are identical either way.
     jobs:
         Worker processes for batch fan-out (``0`` = one per core;
         ``"auto"`` = one per core, but tiny workloads run serially to
         skip pool spin-up). A pool is built on the first batch that
         needs one and lives until the session closes.
-    strategy:
-        One of :data:`STRATEGIES`.
     memoize:
         Replay isomorphic duplicates from the fingerprint memo.
     watchdog:
@@ -150,7 +159,6 @@ class MinimizeOptions:
     engine: str = "dp"
     oracle_cache: bool = True
     jobs: Union[int, str] = 1
-    strategy: str = "pipeline"
     memoize: bool = True
     watchdog: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
@@ -162,10 +170,6 @@ class MinimizeOptions:
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r} (expected one of {ENGINES})"
-            )
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r} (expected one of {STRATEGIES})"
             )
         if not isinstance(self.oracle_cache, bool):
             raise ValueError(
@@ -190,11 +194,6 @@ class MinimizeOptions:
             )
         if self.audit_rate < 0:
             raise ValueError(f"audit_rate must be >= 0, got {self.audit_rate}")
-
-    @property
-    def use_cdm_prefilter(self) -> bool:
-        """Whether the CDM pre-filter stage runs (strategy ``pipeline``)."""
-        return self.strategy == "pipeline"
 
     def with_overrides(self, **changes: object) -> "MinimizeOptions":
         """A copy with the given fields replaced (frozen-dataclass
@@ -444,7 +443,8 @@ class Session:
 
     Sessions are context managers; :meth:`close` releases any persistent
     worker pools. All methods are thread-safe to the extent the
-    underlying batch backend is (one batch at a time per repository).
+    underlying batch backend is (one batch at a time per repository);
+    the counters take a lock, so concurrent calls never lose a count.
     """
 
     def __init__(
@@ -460,12 +460,25 @@ class Session:
                 f"options must be a MinimizeOptions, got {type(self.options).__name__}"
             )
         self._default_constraints = constraints
-        self._minimizers: dict[str, "BatchMinimizer"] = {}
+        self._minimizers: dict[str, BatchMinimizer] = {}
         #: The minimizer of the session-default constraints, resolved once
         #: per constraint epoch (:meth:`_minimizer_for`).
-        self._default: Optional["BatchMinimizer"] = None
-        self._counters: dict[str, float] = {}
-        self._store_counters: dict[str, float] = {}
+        self._default: Optional[BatchMinimizer] = None
+        #: Lifetime totals of each layer's stats, merged by :meth:`_add`
+        #: and flattened by :meth:`counters`.
+        self._totals = {
+            cls: cls()
+            for cls in (BatchStats, ImagesStats, ExecutorStats, ContainmentStats)
+        }
+        self._lock = threading.Lock()
+        #: The process-wide oracle cache's counts when the session
+        #: started; :meth:`counters` reports what accrued since.
+        cache = global_cache()
+        self._oracle_start = (
+            replace(cache.stats) if cache is not None else OracleCacheStats()
+        )
+        #: The store's counts when :meth:`close` detached it.
+        self._store_final: Optional[StoreStats] = None
         self._closed = False
         #: Fast-path equivalence verdicts seen so far (the sampling
         #: auditor's deterministic counter — never wall-clock random).
@@ -484,15 +497,11 @@ class Session:
         self.store: Optional[object] = store
         self._owns_store = False
         if self.store is None and self.options.store_path is not None:
-            from .store import PersistentStore
-
             self.store = PersistentStore(
                 self.options.store_path, injector=self.injector
             )
             self._owns_store = True
         if self.store is not None and self.options.oracle_cache:
-            from .core.oracle_cache import set_global_store, set_global_store_audit
-
             # The process-wide oracle cache gains the disk backend; a
             # reset_global_cache() (restart simulation) re-attaches it.
             set_global_store(self.store)
@@ -511,12 +520,6 @@ class Session:
         for minimizer in self._minimizers.values():
             minimizer.close()
         if self.store is not None and not self._closed:
-            from .core.oracle_cache import (
-                global_store,
-                set_global_store,
-                set_global_store_audit,
-            )
-
             if global_store() is self.store:
                 set_global_store(None)
                 if self.options.certify:
@@ -526,9 +529,8 @@ class Session:
             # Snapshot the store counters at detach — after the close
             # above so the final write-behind flush is counted: counters()
             # keeps reporting the final store_* values after close(), even
-            # when a later session reopens the same store_path with fresh
-            # stats (the old overlay would read them as zero).
-            self._store_counters = dict(self.store.stats.counters())
+            # when another owner of an injected store keeps using it.
+            self._store_final = replace(self.store.stats)
         self._closed = True
 
     def __enter__(self) -> "Session":
@@ -557,15 +559,12 @@ class Session:
         """Minimize a whole workload; one :class:`QueryResult` per query,
         in input order (byte-identical to the serial loop)."""
         patterns = list(patterns)
-        minimizer = self._minimizer_for(repo)
-        with self._cache_scope():
-            batch = minimizer.minimize_all(patterns)
-            results = [
-                QueryResult.from_batch_item(item, pattern)
-                for item, pattern in zip(batch, patterns)
-            ]
-        self._absorb(batch.stats.counters())
-        return results
+        batch = self._minimizer_for(repo).minimize_all(patterns)
+        self._add(batch.stats, batch.images_stats, batch.executor_stats)
+        return [
+            QueryResult.from_batch_item(item, pattern)
+            for item, pattern in zip(batch, patterns)
+        ]
 
     # ------------------------------------------------------------------
     # Evaluation & equivalence
@@ -582,8 +581,6 @@ class Session:
         sequence returns one set per query (via the batch evaluator,
         fanned across the session's ``jobs``).
         """
-        from .batch.evaluation import evaluate_batch
-
         if isinstance(patterns, TreePattern):
             return _evaluate(patterns, database, engine=self.options.engine)
         return evaluate_batch(
@@ -597,34 +594,35 @@ class Session:
         self, q1: TreePattern, q2: TreePattern, repo: Constraints = None
     ) -> bool:
         """Whether the queries are equivalent — absolutely, or under the
-        given (or session-default) constraints when any are present.
+        given (or session-default) constraints when any are present. Both
+        paths count their containment work (``containment_*``).
 
         The canonical-fingerprint fast path returns True *without a
         proof artifact* — those verdicts are counted separately
-        (``equivalent_fast_path_uncertified``) and routed into the
-        sampling auditor: every ``audit_rate``-th one (all of them under
-        ``certify=True``) is re-proven with the full two-pass DP instead
-        of being exempt from auditing."""
+        (``containment_equivalent_fast_path_uncertified``) and routed
+        into the sampling auditor: every ``audit_rate``-th one (all of
+        them under ``certify=True``) is re-proven with the full two-pass
+        DP instead of being exempt from auditing."""
         repository = self._minimizer_for(repo).repository  # closed once
+        stats = ContainmentStats()
         with self._cache_scope():
             if len(repository):
-                return _equivalent_under(q1, q2, repository)
-            stats = ContainmentStats()
-            verdict = _equivalent(q1, q2, stats=stats)
-            self._absorb(stats.counters())
+                verdict = _equivalent_under(q1, q2, repository, stats=stats)
+            else:
+                verdict = _equivalent(q1, q2, stats=stats)
+            self._add(stats)
             if stats.equivalent_fast_path_uncertified:
                 self._audit_fast_path(q1, q2)
-            return verdict
+        return verdict
 
     def _audit_fast_path(self, q1: TreePattern, q2: TreePattern) -> None:
         """Sample one fast-path equivalence verdict for re-proof.
 
         The isomorphism short-circuit is exact, but it leaves nothing
         re-checkable behind; the auditor re-derives the verdict with the
-        two-pass containment DP. Success converts the verdict from
-        *uncertified* to audited (the counter is decremented back);
-        failure would mean a canonical-hash collision and surfaces as
-        :class:`~repro.errors.CertificationError`.
+        two-pass containment DP. Success moves the verdict from
+        *uncertified* to audited; failure would mean a canonical-hash
+        collision and surfaces as :class:`~repro.errors.CertificationError`.
         """
         self._fast_path_seen += 1
         rate = self.options.audit_rate
@@ -633,9 +631,6 @@ class Session:
         ):
             return
         ok = _is_contained_in(q1, q2) and _is_contained_in(q2, q1)
-        self._counters["equivalent_fast_path_audited"] = (
-            self._counters.get("equivalent_fast_path_audited", 0) + 1
-        )
         if not ok:  # pragma: no cover - would need a SHA-256 collision
             from .errors import CertificationError
 
@@ -643,8 +638,10 @@ class Session:
                 "fast-path equivalence audit failed: canonically equal "
                 "patterns are not mutually containing"
             )
-        self._counters["equivalent_fast_path_uncertified"] = (
-            self._counters.get("equivalent_fast_path_uncertified", 1) - 1
+        self._add(
+            ContainmentStats(
+                equivalent_fast_path_audited=1, equivalent_fast_path_uncertified=-1
+            )
         )
 
     # ------------------------------------------------------------------
@@ -668,14 +665,12 @@ class Session:
             )
         from .certify import check_answer
 
-        minimizer = self._minimizer_for(repo)
-        with self._cache_scope():
-            return check_answer(
-                result.certificate,
-                result.input_pattern,
-                result.pattern,
-                minimizer.repository,
-            )
+        return check_answer(
+            result.certificate,
+            result.input_pattern,
+            result.pattern,
+            self._minimizer_for(repo).repository,
+        )
 
     def audit_result(self, result: QueryResult, repo: Constraints = None) -> bool:
         """Re-verify one served answer (the sampling auditor's unit of
@@ -691,48 +686,34 @@ class Session:
         for the structure recomputes cold. Returns whether the answer
         verified.
         """
-        minimizer = self._minimizer_for(repo)
-        with self._cache_scope():
-            if result.certificate is not None:
-                from .certify import check_answer
+        repository = self._minimizer_for(repo).repository
+        if result.certificate is not None:
+            from .certify import check_answer
 
-                ok = bool(
-                    check_answer(
-                        result.certificate,
-                        result.input_pattern,
-                        result.pattern,
-                        minimizer.repository,
-                    )
-                )
-            else:
-                from .core.pipeline import minimize as _pipeline_minimize
-
-                fresh = _pipeline_minimize(
+            ok = bool(
+                check_answer(
+                    result.certificate,
                     result.input_pattern,
-                    minimizer.repository,
-                    use_cdm_prefilter=self.options.use_cdm_prefilter,
+                    result.pattern,
+                    repository,
                 )
-                ok = (
-                    fresh.pattern.canonical_key() == result.pattern.canonical_key()
-                )
-        self._counters["audited"] = self._counters.get("audited", 0) + 1
-        if not ok:
-            self._counters["audit_failures"] = (
-                self._counters.get("audit_failures", 0) + 1
             )
-            if result.fingerprint:
-                self.quarantine(result.fingerprint, repo)
+        else:
+            from .core.pipeline import minimize as _pipeline_minimize
+
+            fresh = _pipeline_minimize(result.input_pattern, repository)
+            ok = fresh.pattern.canonical_key() == result.pattern.canonical_key()
+        self._add(BatchStats(audited=1, audit_failures=int(not ok)))
+        if not ok and result.fingerprint:
+            self.quarantine(result.fingerprint, repo)
         return ok
 
     def quarantine(self, fingerprint: str, repo: Constraints = None) -> None:
         """Drop one fingerprint's cached answer from every cache layer
         (replay memo and persistent store) and count it. The audit
         pipeline's failure path — never serves, always recomputes."""
-        minimizer = self._minimizer_for(repo)
-        minimizer.quarantine(fingerprint)
-        self._counters["quarantined_records"] = (
-            self._counters.get("quarantined_records", 0) + 1
-        )
+        self._minimizer_for(repo).quarantine(fingerprint)
+        self._add(BatchStats(quarantined_records=1))
 
     # ------------------------------------------------------------------
     # Live constraint churn
@@ -770,8 +751,8 @@ class Session:
         requests enqueued before the update are served under the old
         closure, requests after under the new one).
 
-        Session counters gain ``ic_updates``, ``closure_invalidations``
-        (summed), and ``oracle_entries_surviving`` (latest snapshot).
+        Session counters gain ``ic_updates`` and
+        ``closure_invalidations`` (the memo entries dropped).
         """
         if self._closed:
             raise RuntimeError("session is closed")
@@ -787,9 +768,6 @@ class Session:
             for constraint in drops:
                 update.drop(constraint)
         closure_seconds = time.perf_counter() - start
-
-        from .core.oracle_cache import global_cache
-
         cache = global_cache()
         result = ConstraintUpdateResult(
             added=list(update.added),
@@ -801,7 +779,7 @@ class Session:
             closure_seconds=closure_seconds,
             surviving_oracle_entries=len(cache) if cache is not None else 0,
         )
-        self._counters["ic_updates"] = self._counters.get("ic_updates", 0) + 1
+        self._add(BatchStats(ic_updates=1))
         if not result.changed:
             if update.added or update.dropped:
                 # Base-only mutation: the staged add was already derived
@@ -829,13 +807,7 @@ class Session:
         # closure (new_repo is closed) and warm-starts from any store
         # records previously written under the new digest.
         self._minimizer_for(None)
-        self._counters["closure_invalidations"] = (
-            self._counters.get("closure_invalidations", 0)
-            + result.invalidated_replays
-        )
-        self._counters["oracle_entries_surviving"] = (
-            result.surviving_oracle_entries
-        )
+        self._add(BatchStats(closure_invalidations=result.invalidated_replays))
         return result
 
     def constraints_digest(self) -> str:
@@ -852,7 +824,7 @@ class Session:
             "digest": minimizer.closure_digest,
             "closure_size": len(repo),
             "base_size": len(repo.base),
-            "ic_updates": int(self._counters.get("ic_updates", 0)),
+            "ic_updates": self._totals[BatchStats].ic_updates,
         }
 
     # ------------------------------------------------------------------
@@ -860,19 +832,23 @@ class Session:
     # ------------------------------------------------------------------
 
     def counters(self) -> dict[str, float]:
-        """Aggregate batch/engine/cache counters over every call made
-        through this session (the ``*Stats``-style flat dict). With a
-        persistent store attached, its live ``store_*`` counters are
-        overlaid."""
-        out = dict(self._counters)
-        if out.get("queries"):
-            out["hit_rate"] = out.get("cache_hits", 0) / out["queries"]
+        """Every layer's counters over this session's lifetime, as one
+        flat dict (:mod:`repro.obs`): the batch layer with the session's
+        audits and constraint updates, the images engine, the executor,
+        the equivalence checks (``containment_*``), the process-wide
+        oracle cache since the session started (``oracle_cache_*``), the
+        attached store (``store_*``, when there is one) and the fault
+        injector's ``faults_injected``. Ratios are ratios of the totals."""
+        out: dict[str, float] = {}
+        with self._lock:
+            for stats in self._totals.values():
+                out.update(stats.counters())
+        out.update(self._oracle_cache_stats().counters())
         if self.store is not None:
-            out.update(
-                self._store_counters
-                if self._closed
-                else self.store.stats.counters()
-            )
+            out.update((self._store_final or self.store.stats).counters())
+        out["faults_injected"] = (
+            self.injector.faults_injected if self.injector is not None else 0
+        )
         return out
 
     @property
@@ -892,12 +868,29 @@ class Session:
             return oracle_cache_disabled()
         return nullcontext()
 
-    def _minimizer_for(self, repo: Constraints) -> "BatchMinimizer":
+    def _add(self, *stats) -> None:
+        """Merge per-call stats into the session's lifetime totals."""
+        with self._lock:
+            for part in stats:
+                self._totals[type(part)].add(part)
+
+    def _oracle_cache_stats(self) -> OracleCacheStats:
+        """The process-wide oracle cache's counts since the session
+        started (zeros while the cache is disabled)."""
+        cache = global_cache()
+        if cache is None:
+            return OracleCacheStats()
+        return OracleCacheStats(
+            **{
+                f.name: getattr(cache.stats, f.name) - getattr(self._oracle_start, f.name)
+                for f in fields(OracleCacheStats)
+            }
+        )
+
+    def _minimizer_for(self, repo: Constraints) -> BatchMinimizer:
         """The per-repository batch backend (created on first use; the
         closure, memo, and pool live as long as the session), keyed by
         the repository's digest, which the repository computes once."""
-        from .batch.minimizer import BatchMinimizer
-
         if self._closed:
             raise RuntimeError("session is closed")
         if repo is None:
@@ -918,10 +911,3 @@ class Session:
             )
             self._minimizers[key] = minimizer
         return minimizer
-
-    def _absorb(self, counters: dict[str, float]) -> None:
-        for key, value in counters.items():
-            if key.endswith("_rate") or key == "jobs":  # not summable
-                continue
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self._counters[key] = self._counters.get(key, 0) + value

@@ -36,6 +36,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeVar
 
+from ..obs import Stats
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.faults import FaultInjector
 
@@ -131,7 +133,7 @@ def default_chunksize(n_items: int, jobs: int) -> int:
 
 
 @dataclass
-class ExecutorStats:
+class ExecutorStats(Stats):
     """Counters of one (or many) :func:`process_map` dispatches.
 
     Attributes
@@ -157,26 +159,6 @@ class ExecutorStats:
     watchdog_kills: int = 0
     serial_fallbacks: int = 0
     pickle_fallbacks: int = 0
-
-    def counters(self) -> dict[str, float]:
-        """The stats as a flat dict (for JSON reports)."""
-        return {
-            "dispatched_chunks": self.dispatched_chunks,
-            "pool_retries": self.pool_retries,
-            "chunks_retried": self.chunks_retried,
-            "watchdog_kills": self.watchdog_kills,
-            "serial_fallbacks": self.serial_fallbacks,
-            "pickle_fallbacks": self.pickle_fallbacks,
-        }
-
-    def absorb(self, other: "ExecutorStats") -> None:
-        """Add another run's counters into this one."""
-        self.dispatched_chunks += other.dispatched_chunks
-        self.pool_retries += other.pool_retries
-        self.chunks_retried += other.chunks_retried
-        self.watchdog_kills += other.watchdog_kills
-        self.serial_fallbacks += other.serial_fallbacks
-        self.pickle_fallbacks += other.pickle_fallbacks
 
 
 def _serialize(payload: object) -> Optional[bytes]:

@@ -41,9 +41,11 @@ from ..constraints.closure import closure
 from ..constraints.model import IntegrityConstraint
 from ..constraints.repository import ConstraintRepository, coerce_repository
 from ..core.fingerprint import fingerprint, isomorphism, subtree_keys
+from ..core.images import ImagesStats
 from ..core.pattern import TreePattern
 from ..core.pipeline import MinimizeResult, minimize
 from ..errors import InvalidPatternError
+from ..obs import Stats
 from .executor import ExecutorStats, WorkerPool, process_map, resolve_jobs, use_pool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports batch)
@@ -106,34 +108,41 @@ class BatchItemResult:
 
 
 @dataclass
-class BatchStats:
-    """Aggregate counters of a :meth:`BatchMinimizer.minimize_all` run."""
+class BatchStats(Stats):
+    """Counters of the batch layer: one :meth:`BatchMinimizer.minimize_all`
+    run, or a :class:`repro.api.Session`'s lifetime — the session adds
+    every run's stats, its sampled audits and its constraint updates
+    into one instance."""
+
+    ratios = ("hit_rate",)
 
     queries: int = 0
     distinct: int = 0
     cache_hits: int = 0
-    pickle_fallbacks: int = 0
-    jobs: int = 1
-    #: Certification/audit pipeline counters (``certify=True`` only):
-    #: answers served with a freshly *verified* certificate; cached
-    #: records whose certificate failed the independent checker (each is
-    #: also a quarantined record — the record is deleted, never served);
+    #: Certification/audit pipeline counters (``certified`` and the
+    #: replay checks under ``certify=True`` only): answers served with a
+    #: freshly *verified* certificate; answers re-verified by the
+    #: session's sampling auditor (:meth:`repro.api.Session.audit_result`);
+    #: cached records or served answers whose proof failed (each is also
+    #: a quarantined record — the record is deleted, never served again);
     #: transparent cold recomputations that replaced a quarantined
     #: record; cache records skipped because they carried no certificate
     #: to verify (recomputed, not quarantined).
     certified: int = 0
+    audited: int = 0
     audit_failures: int = 0
     quarantined_records: int = 0
     recomputed_after_quarantine: int = 0
     uncertified_cache_skips: int = 0
+    #: Live constraint updates applied to the session default
+    #: (:meth:`repro.api.Session.update_constraints`), and the replay-memo
+    #: entries they invalidated.
+    ic_updates: int = 0
+    closure_invalidations: int = 0
     closure_seconds: float = 0.0
     fingerprint_seconds: float = 0.0
     minimize_seconds: float = 0.0
     replay_seconds: float = 0.0
-    #: Images-engine / containment-cache counters summed over every
-    #: representative minimized in this batch (cache hits do no engine
-    #: work, so they contribute nothing — that is the point).
-    engine_counters: dict = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -150,35 +159,18 @@ class BatchStats:
             + self.replay_seconds
         )
 
-    def counters(self) -> dict[str, float]:
-        """The stats as a flat dict (for JSON reports)."""
-        out = dict(self.engine_counters)
-        out.update({
-            "queries": self.queries,
-            "distinct": self.distinct,
-            "cache_hits": self.cache_hits,
-            "hit_rate": self.hit_rate,
-            "pickle_fallbacks": self.pickle_fallbacks,
-            "jobs": self.jobs,
-            "certified": self.certified,
-            "audit_failures": self.audit_failures,
-            "quarantined_records": self.quarantined_records,
-            "recomputed_after_quarantine": self.recomputed_after_quarantine,
-            "uncertified_cache_skips": self.uncertified_cache_skips,
-            "closure_seconds": self.closure_seconds,
-            "fingerprint_seconds": self.fingerprint_seconds,
-            "minimize_seconds": self.minimize_seconds,
-            "replay_seconds": self.replay_seconds,
-        })
-        return out
-
 
 @dataclass
 class BatchResult:
-    """Outcome of one :meth:`BatchMinimizer.minimize_all` call."""
+    """Outcome of one :meth:`BatchMinimizer.minimize_all` call: the items,
+    the batch layer's counters, the images-engine counters summed over
+    the representatives minimized (cache hits do no engine work, so they
+    contribute nothing — that is the point), and the executor's."""
 
     items: list[BatchItemResult]
     stats: BatchStats
+    images_stats: ImagesStats
+    executor_stats: ExecutorStats
 
     def patterns(self) -> list[TreePattern]:
         """The minimized queries, in input order."""
@@ -215,54 +207,17 @@ class _MemoEntry:
 # Minimization never consults the containment-oracle cache, so no cache
 # state crosses the process boundary.
 _WORKER_REPO: Optional[ConstraintRepository] = None
-_WORKER_USE_CDM: bool = True
 _WORKER_CERTIFY: bool = False
 
 
-def _init_worker(
-    repo_bytes: bytes, use_cdm_prefilter: bool, certify: bool = False
-) -> None:
-    global _WORKER_REPO, _WORKER_USE_CDM, _WORKER_CERTIFY
+def _init_worker(repo_bytes: bytes, certify: bool) -> None:
+    global _WORKER_REPO, _WORKER_CERTIFY
     _WORKER_REPO = pickle.loads(repo_bytes)
-    _WORKER_USE_CDM = use_cdm_prefilter
     _WORKER_CERTIFY = certify
 
 
 def _minimize_one(pattern: TreePattern) -> MinimizeResult:
-    return minimize(
-        pattern,
-        _WORKER_REPO,
-        use_cdm_prefilter=_WORKER_USE_CDM,
-        certify=_WORKER_CERTIFY,
-    )
-
-
-#: Kwargs accepted (with a DeprecationWarning) before the MinimizeOptions
-#: redesign; kept only to name the replacement field in the TypeError.
-_REMOVED_KWARGS = {
-    "jobs": "MinimizeOptions(jobs=...)",
-    "memoize": "MinimizeOptions(memoize=...)",
-    "use_cdm_prefilter": 'MinimizeOptions(strategy="pipeline"/"acim")',
-    "oracle_cache": "MinimizeOptions(oracle_cache=...)",
-    "chunksize": "removed; pool tasks are sized automatically",
-}
-
-
-def _legacy_kwargs_message(where: str, legacy: dict) -> str:
-    """The migration-hint TypeError text for removed legacy kwargs."""
-    removed = sorted(k for k in legacy if k in _REMOVED_KWARGS)
-    unknown = sorted(k for k in legacy if k not in _REMOVED_KWARGS)
-    parts = [f"{where}() got unexpected keyword argument(s)"]
-    if removed:
-        hints = "; ".join(f"{k} -> {_REMOVED_KWARGS[k]}" for k in removed)
-        parts = [
-            f"{where}() no longer accepts the legacy kwargs {removed}: "
-            "configure through options=MinimizeOptions(...) or a "
-            f"repro.api.Session ({hints})"
-        ]
-    if unknown:
-        parts.append(f"unknown kwargs {unknown}")
-    return "; ".join(parts)
+    return minimize(pattern, _WORKER_REPO, certify=_WORKER_CERTIFY)
 
 
 def _result_eliminated(result: MinimizeResult) -> list[tuple[int, str]]:
@@ -287,13 +242,11 @@ class BatchMinimizer:
         every worker process).
     options:
         A :class:`repro.api.MinimizeOptions` carrying the whole
-        configuration (jobs, memoize, strategy, certify, ...);
-        ``None`` means all defaults. This is the **only** configuration
-        path — the scattered per-knob kwargs of earlier releases
-        (``jobs=``, ``memoize=``, ``use_cdm_prefilter=``,
-        ``oracle_cache=``, ``chunksize=``) were removed after their
-        deprecation cycle and now raise :class:`TypeError` with a
-        migration hint.
+        configuration (jobs, memoize, certify, ...); ``None`` means all
+        defaults. This is the **only** configuration path.
+
+    Every query runs through the CDM-then-ACIM pipeline
+    (:func:`~repro.core.pipeline.minimize`, Theorem 5.3).
 
     With ``jobs != 1`` the minimizer builds one
     :class:`~repro.batch.executor.WorkerPool` on its first pooled batch
@@ -307,10 +260,7 @@ class BatchMinimizer:
         *,
         injector: "Optional[FaultInjector]" = None,
         store: Optional[object] = None,
-        **legacy: object,
     ) -> None:
-        if legacy:
-            raise TypeError(_legacy_kwargs_message("BatchMinimizer", legacy))
         if options is None:
             from ..api import MinimizeOptions as _MinimizeOptions
 
@@ -318,7 +268,6 @@ class BatchMinimizer:
         self._jobs_spec = options.jobs
         self.jobs = resolve_jobs(options.jobs)
         self.memoize = options.memoize
-        self.use_cdm_prefilter = options.use_cdm_prefilter
         self.watchdog = options.watchdog
         self.certify = getattr(options, "certify", False)
         fault_plan = options.fault_plan
@@ -330,9 +279,6 @@ class BatchMinimizer:
         #: every layer reports into one fired-events log); ``None`` when
         #: no fault plan is active.
         self.injector = injector
-        #: Lifetime executor resilience counters (pool retries, watchdog
-        #: kills, serial/pickle fallbacks) across every minimize_all call.
-        self.executor_stats = ExecutorStats()
         self.closure_seconds = 0.0
 
         repo = coerce_repository(constraints)
@@ -379,9 +325,8 @@ class BatchMinimizer:
         serially or across the worker pool.
         """
         patterns = list(patterns)
-        stats = BatchStats(
-            queries=len(patterns), jobs=self.jobs, closure_seconds=self.closure_seconds
-        )
+        stats = BatchStats(queries=len(patterns), closure_seconds=self.closure_seconds)
+        images_stats, executor_stats = ImagesStats(), ExecutorStats()
         if self.injector is not None:
             fault = self.injector.draw("batch.run")
             if fault is not None and fault.kind == "slow":
@@ -410,7 +355,6 @@ class BatchMinimizer:
         stats.distinct = len({fp for fp in prints})
 
         start = time.perf_counter()
-        xstats = ExecutorStats()
         todo = [patterns[i] for i in fresh]
         if use_pool(self._jobs_spec, len(todo)):
             results = process_map(
@@ -420,17 +364,11 @@ class BatchMinimizer:
                 local=self._minimize_here,
                 injector=self.injector,
                 watchdog=self.watchdog,
-                stats=xstats,
+                stats=executor_stats,
             )
         else:
             results = [self._minimize_here(pattern) for pattern in todo]
         stats.minimize_seconds = time.perf_counter() - start
-        self.executor_stats.absorb(xstats)
-        stats.pickle_fallbacks = xstats.pickle_fallbacks
-        for key, value in xstats.counters().items():
-            if key == "pickle_fallbacks":
-                continue  # already a first-class BatchStats field
-            stats.engine_counters[key] = stats.engine_counters.get(key, 0) + value
 
         by_index: dict[int, MinimizeResult] = dict(zip(fresh, results))
         # One record per fresh answer; the memo keeps its own list (the
@@ -438,8 +376,7 @@ class BatchMinimizer:
         recorded = {index: _result_eliminated(result) for index, result in by_index.items()}
         for index, result in by_index.items():
             if result.acim is not None:
-                for key, value in result.acim.images_stats.counters().items():
-                    stats.engine_counters[key] = stats.engine_counters.get(key, 0) + value
+                images_stats.add(result.acim.images_stats)
             fp = prints[index]
             if self.certify:
                 self._check_fresh(result, patterns[index], stats, tables[index])
@@ -490,7 +427,7 @@ class BatchMinimizer:
             stats.cache_hits += 1
             items.append(self._replay(index, pattern, fp, stats, keys=tables[index]))
         stats.replay_seconds = time.perf_counter() - start
-        return BatchResult(items=items, stats=stats)
+        return BatchResult(items, stats, images_stats, executor_stats)
 
     def minimize(self, pattern: TreePattern) -> BatchItemResult:
         """Minimize one query through the batch cache (serial path)."""
@@ -499,12 +436,7 @@ class BatchMinimizer:
     def _minimize_here(self, pattern: TreePattern) -> MinimizeResult:
         """Minimize one query in the calling process, against this
         minimizer's own closed repository."""
-        return minimize(
-            pattern,
-            self.repository,
-            use_cdm_prefilter=self.use_cdm_prefilter,
-            certify=self.certify,
-        )
+        return minimize(pattern, self.repository, certify=self.certify)
 
     def _worker_pool(self) -> WorkerPool:
         """The pool pooled batches run on, built on first use: the closed
@@ -513,11 +445,7 @@ class BatchMinimizer:
             self._pool = WorkerPool(
                 self.jobs,
                 initializer=_init_worker,
-                initargs=(
-                    pickle.dumps(self.repository),
-                    self.use_cdm_prefilter,
-                    self.certify,
-                ),
+                initargs=(pickle.dumps(self.repository), self.certify),
             )
         return self._pool
 
@@ -765,16 +693,12 @@ def minimize_batch(
     patterns: Sequence[TreePattern],
     constraints: "ConstraintRepository | Iterable[IntegrityConstraint] | None" = None,
     options: "Optional[MinimizeOptions]" = None,
-    **legacy: object,
 ) -> BatchResult:
     """One-shot convenience wrapper around :class:`BatchMinimizer`.
 
     ``minimize_batch(patterns, constraints, MinimizeOptions(...))`` (or a
     long-lived :class:`repro.api.Session`) is the only configuration
-    path; the removed per-knob kwargs raise :class:`TypeError` with a
-    migration hint, exactly as on :class:`BatchMinimizer`.
+    path.
     """
-    if legacy:
-        raise TypeError(_legacy_kwargs_message("minimize_batch", legacy))
     with BatchMinimizer(constraints, options) as minimizer:
         return minimizer.minimize_all(patterns)

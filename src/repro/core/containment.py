@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..obs import Stats
 from . import oracle_cache as _oracle_cache
 from .flat import flat_mapping_targets
 from .fingerprint import are_isomorphic
@@ -49,8 +50,9 @@ USE_GLOBAL_CACHE = object()
 
 
 @dataclass
-class ContainmentStats:
-    """Cache instrumentation for the containment oracle.
+class ContainmentStats(Stats):
+    """Cache instrumentation for the containment oracle, flattened under
+    ``containment_``.
 
     One ``mapping_targets`` run memoizes two sub-results:
 
@@ -62,11 +64,13 @@ class ContainmentStats:
 
     Across runs, the process-wide content-keyed cache
     (:mod:`repro.core.oracle_cache`) may serve the whole DP table
-    (``oracle_cache_*``; a hit skips the DP, so the per-run counters
-    above stay untouched for that call), and :func:`equivalent` may
-    short-circuit on canonical-fingerprint equality
-    (``equivalent_fast_path``).
+    (``oracle_cache_*``: the lookups these checks made; a hit skips the
+    DP, so the per-run counters above stay untouched for that call), and
+    :func:`equivalent` may short-circuit on canonical-fingerprint
+    equality (``equivalent_fast_path``).
     """
+
+    prefix = "containment_"
 
     base_cache_hits: int = 0
     base_cache_misses: int = 0
@@ -79,22 +83,11 @@ class ContainmentStats:
     #: the isomorphism short-circuit is exact, but unlike the two-pass DP
     #: it leaves nothing re-checkable behind. Counted separately so the
     #: audit pipeline can sample these answers instead of exempting them
-    #: (decremented back by :meth:`repro.api.Session` when a sampled
-    #: audit re-proves the verdict with the full DP).
+    #: (:class:`repro.api.Session` moves each verdict a sampled audit
+    #: re-proves with the full DP from here to
+    #: ``equivalent_fast_path_audited``).
     equivalent_fast_path_uncertified: int = 0
-
-    def counters(self) -> dict[str, int]:
-        """The counters as a flat dict (for JSON reports)."""
-        return {
-            "base_cache_hits": self.base_cache_hits,
-            "base_cache_misses": self.base_cache_misses,
-            "reach_cache_hits": self.reach_cache_hits,
-            "reach_cache_misses": self.reach_cache_misses,
-            "oracle_cache_hits": self.oracle_cache_hits,
-            "oracle_cache_misses": self.oracle_cache_misses,
-            "equivalent_fast_path": self.equivalent_fast_path,
-            "equivalent_fast_path_uncertified": self.equivalent_fast_path_uncertified,
-        }
+    equivalent_fast_path_audited: int = 0
 
 
 def mapping_targets(

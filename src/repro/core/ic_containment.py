@@ -31,12 +31,12 @@ against.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from ..constraints.model import IntegrityConstraint
 from ..constraints.repository import ConstraintRepository, coerce_repository
 from ..constraints.closure import closure
-from .containment import has_containment_mapping
+from .containment import ContainmentStats, has_containment_mapping
 from .edges import EdgeKind
 from .node import PatternNode
 from .pattern import TreePattern
@@ -114,22 +114,28 @@ def is_contained_in_under(
     q1: TreePattern,
     q2: TreePattern,
     constraints: "ConstraintRepository | Iterable[IntegrityConstraint] | None",
+    *,
+    stats: Optional[ContainmentStats] = None,
 ) -> bool:
     """``Q1 ⊆_C Q2``: on every database satisfying the constraints,
-    ``Q1``'s answers are among ``Q2``'s."""
+    ``Q1``'s answers are among ``Q2``'s. ``stats`` counts the
+    containment check's work, as for
+    :func:`~repro.core.containment.has_containment_mapping`."""
     repo = coerce_repository(constraints)
     if not repo.is_closed:
         repo = closure(repo)
     chased = chase_for_containment(q1, repo)
-    return has_containment_mapping(q2, chased)
+    return has_containment_mapping(q2, chased, stats=stats)
 
 
 def equivalent_under(
     q1: TreePattern,
     q2: TreePattern,
     constraints: "ConstraintRepository | Iterable[IntegrityConstraint] | None",
+    *,
+    stats: Optional[ContainmentStats] = None,
 ) -> bool:
     """Two-way containment under the constraints."""
-    return is_contained_in_under(q1, q2, constraints) and is_contained_in_under(
-        q2, q1, constraints
-    )
+    return is_contained_in_under(
+        q1, q2, constraints, stats=stats
+    ) and is_contained_in_under(q2, q1, constraints, stats=stats)

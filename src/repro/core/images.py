@@ -15,8 +15,10 @@ callers share with it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..errors import InvalidPatternError
+from ..obs import Stats
 from .edges import EdgeKind
 
 __all__ = ["VirtualTarget", "ImagesStats"]
@@ -69,7 +71,7 @@ class VirtualTarget:
 
 
 @dataclass
-class ImagesStats:
+class ImagesStats(Stats):
     """Instrumentation counters for the images engine.
 
     ``tables_seconds`` covers building **and incrementally maintaining**
@@ -87,7 +89,8 @@ class ImagesStats:
 
     ``max_image_size`` samples images sets as initialized (pre-pruning),
     over the rows a check reads; ``max_image_size_post_prune`` samples
-    them after the bottom-up sweep.
+    them after the bottom-up sweep. Both stay maxima when stats are
+    merged (:meth:`~repro.obs.Stats.add`).
     """
 
     tables_seconds: float = 0.0
@@ -100,25 +103,13 @@ class ImagesStats:
     incremental_deletes: int = 0
     base_cache_hits: int = 0
     base_cache_misses: int = 0
-    # Always 0: the engine keeps no prune memo. perfbench's tracer still
-    # reads both under --trace 1, so they stay until its metrics go.
-    prune_memo_hits: int = 0
-    prune_memo_misses: int = 0
+    # Always 0 and outside the counters namespace: the engine keeps no
+    # prune memo. perfbench's tracer still reads both under --trace 1,
+    # so they stay until its metrics go.
+    prune_memo_hits: ClassVar[int] = 0
+    prune_memo_misses: ClassVar[int] = 0
 
     @property
     def total_seconds(self) -> float:
         """Tables time plus pruning time."""
         return self.tables_seconds + self.prune_seconds
-
-    def counters(self) -> dict[str, int]:
-        """The integer counters as a flat dict (for JSON reports)."""
-        return {
-            "redundancy_checks": self.redundancy_checks,
-            "max_image_size": self.max_image_size,
-            "max_image_size_post_prune": self.max_image_size_post_prune,
-            "pruned_entries": self.pruned_entries,
-            "engine_builds": self.engine_builds,
-            "incremental_deletes": self.incremental_deletes,
-            "base_cache_hits": self.base_cache_hits,
-            "base_cache_misses": self.base_cache_misses,
-        }

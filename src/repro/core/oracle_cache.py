@@ -45,11 +45,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import hashlib
 
+from ..obs import Stats
 from .fingerprint import isomorphism, subtree_keys
 from .pattern import TreePattern
 
@@ -68,8 +69,9 @@ __all__ = [
 
 
 @dataclass
-class OracleCacheStats:
-    """Observability counters for one :class:`ContainmentOracleCache`.
+class OracleCacheStats(Stats):
+    """Observability counters for one :class:`ContainmentOracleCache`,
+    flattened under ``oracle_cache_``.
 
     ``hits``/``misses`` count lookups; ``remapped_nodes`` totals the DP
     table rows translated onto caller node ids on hits (the work a hit
@@ -80,6 +82,9 @@ class OracleCacheStats:
     persistent backend on in-memory misses (a ``store_hit`` is also a
     ``hit`` — the DP was avoided, just from disk).
     """
+
+    prefix = "oracle_cache_"
+    ratios = ("hit_rate",)
 
     hits: int = 0
     misses: int = 0
@@ -104,21 +109,6 @@ class OracleCacheStats:
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def counters(self) -> dict[str, float]:
-        """The counters as a flat dict (for JSON reports)."""
-        return {
-            "oracle_cache_hits": self.hits,
-            "oracle_cache_misses": self.misses,
-            "oracle_cache_hit_rate": self.hit_rate,
-            "oracle_cache_remapped_nodes": self.remapped_nodes,
-            "oracle_cache_stores": self.stores,
-            "oracle_cache_evictions": self.evictions,
-            "oracle_cache_collisions": self.collisions,
-            "oracle_cache_store_hits": self.store_hits,
-            "oracle_cache_store_misses": self.store_misses,
-            "oracle_cache_store_audit_failures": self.store_audit_failures,
-        }
 
 
 @dataclass

@@ -31,9 +31,9 @@ raise immediately; exhausted budgets raise
 :class:`~repro.errors.ServiceUnavailableError` wrapping the last
 underlying failure.
 
-This module deliberately imports nothing above :mod:`repro.errors` —
-it is the bottom of the resilience layer and must stay importable from
-:mod:`repro.api` without cycles.
+This module deliberately imports nothing above :mod:`repro.errors` and
+:mod:`repro.obs` — it is the bottom of the resilience layer and must
+stay importable from :mod:`repro.api` without cycles.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from ..errors import (
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
+from ..obs import Stats
 
 __all__ = [
     "AsyncServiceClient",
@@ -66,8 +67,8 @@ __all__ = [
 
 
 @dataclass
-class ClientStats:
-    """Counters of one client's lifetime (the ``*Stats`` house style)."""
+class ClientStats(Stats):
+    """Counters of one client's lifetime."""
 
     #: Logical requests issued through the client.
     requests: int = 0
@@ -88,20 +89,6 @@ class ClientStats:
     breaker_short_circuits: int = 0
     #: Total seconds slept across all backoffs.
     backoff_seconds: float = 0.0
-
-    def counters(self) -> dict[str, float]:
-        """The stats as a flat dict (for JSON reports)."""
-        return {
-            "requests": self.requests,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "reconnects": self.reconnects,
-            "garbage_lines": self.garbage_lines,
-            "duplicate_responses": self.duplicate_responses,
-            "breaker_opens": self.breaker_opens,
-            "breaker_short_circuits": self.breaker_short_circuits,
-            "backoff_seconds": self.backoff_seconds,
-        }
 
 
 @dataclass(frozen=True)

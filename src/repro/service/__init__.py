@@ -9,8 +9,9 @@ Entry points:
   :func:`~repro.service.protocol.serve_tcp` — the JSON-lines wire
   protocol (the ``repro-serve`` console script);
 * :class:`~repro.service.service.ServiceStats` /
-  :class:`~repro.service.service.LatencyHistogram` — the observability
-  surface, in the library's ``*Stats`` flat-counter style.
+  :class:`~repro.service.service.LatencyHistogram` — the service's own
+  queue, batch and latency counters (:mod:`repro.obs`), reported beside
+  the session's.
 """
 
 from .protocol import (

@@ -33,10 +33,9 @@ import signal
 import sys
 from pathlib import Path
 
-from ..api import MinimizeOptions, STRATEGIES
+from ..api import MinimizeOptions
 from ..constraints.model import parse_constraints
 from ..errors import ReproError
-from ..matching.evaluator import ENGINES
 from ..resilience.faults import FaultPlan
 from ..tools.minimize_cli import _jobs_arg
 from .protocol import serve_stdio, serve_tcp
@@ -81,18 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
             "worker processes, kept warm across batches (0 = one per "
             "core; 'auto' = one per core, tiny batches serial)"
         ),
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="dp",
-        help="matching engine for evaluation-side work (default dp)",
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="pipeline",
-        help="minimization strategy (default: CDM + ACIM pipeline)",
     )
     parser.add_argument(
         "--no-oracle-cache",
@@ -196,8 +183,6 @@ async def _serve(args: argparse.Namespace) -> int:
         constraint_text += "\n" + args.constraints_file.read_text()
     constraints = parse_constraints(constraint_text)
     options = MinimizeOptions(
-        engine=args.engine,
-        strategy=args.strategy,
         jobs=args.jobs,
         oracle_cache=not args.no_oracle_cache,
         watchdog=args.watchdog,

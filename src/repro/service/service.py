@@ -41,13 +41,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..api import ConstraintUpdateResult, MinimizeOptions, QueryResult, Session
-from ..core.oracle_cache import global_cache
 from ..core.pattern import TreePattern
 from ..errors import (
     DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
+from ..obs import Stats
 
 __all__ = [
     "LatencyHistogram",
@@ -57,12 +57,12 @@ __all__ = [
 
 
 class LatencyHistogram:
-    """A fixed-bucket latency histogram in the ``*Stats`` style.
+    """A fixed-bucket latency histogram, a field of :class:`ServiceStats`.
 
     Buckets are cumulative-friendly upper bounds in seconds (Prometheus
     convention); :meth:`counters` flattens to ``{prefix}_le_{bound}``
-    keys plus count/sum, and :meth:`quantile` interpolates within the
-    winning bucket.
+    keys plus count/sum, :meth:`add` merges bucket by bucket, and
+    :meth:`quantile` interpolates within the winning bucket.
     """
 
     #: Upper bounds in seconds; the implicit last bucket is +inf.
@@ -84,6 +84,13 @@ class LatencyHistogram:
         self.sum_seconds += seconds
         if seconds > self.max_seconds:
             self.max_seconds = seconds
+
+    def add(self, other: "LatencyHistogram") -> None:
+        """Merge another histogram's samples into this one."""
+        self._buckets = [a + b for a, b in zip(self._buckets, other._buckets)]
+        self.count += other.count
+        self.sum_seconds += other.sum_seconds
+        self.max_seconds = max(self.max_seconds, other.max_seconds)
 
     @property
     def mean_seconds(self) -> float:
@@ -126,16 +133,19 @@ class LatencyHistogram:
         out[f"{prefix}_sum_seconds"] = self.sum_seconds
         out[f"{prefix}_mean_seconds"] = self.mean_seconds
         out[f"{prefix}_max_seconds"] = self.max_seconds
-        if self.count:
-            out[f"{prefix}_p50_seconds"] = self.quantile(0.50)
-            out[f"{prefix}_p95_seconds"] = self.quantile(0.95)
-            out[f"{prefix}_p99_seconds"] = self.quantile(0.99)
+        out[f"{prefix}_p50_seconds"] = self.quantile(0.50)
+        out[f"{prefix}_p95_seconds"] = self.quantile(0.95)
+        out[f"{prefix}_p99_seconds"] = self.quantile(0.99)
         return out
 
 
 @dataclass
-class ServiceStats:
-    """Aggregate counters of a :class:`MinimizationService` lifetime."""
+class ServiceStats(Stats):
+    """The service's own counters: request admission, micro-batching and
+    latency. :meth:`MinimizationService.counters` reports them beside the
+    session's counters, which cover the work the batches do."""
+
+    ratios = ("mean_batch_size",)
 
     submitted: int = 0
     completed: int = 0
@@ -147,30 +157,9 @@ class ServiceStats:
     #: elapsed — at submission or at micro-batch assembly, always
     #: *before* any minimization work ran for them.
     sheds: int = 0
-    #: Faults fired by the active fault plan (all layers; mirrors the
-    #: shared :class:`~repro.resilience.faults.FaultInjector`).
-    faults_injected: int = 0
-    #: Pooled chunks SIGKILLed by the per-chunk watchdog (mirrored from
-    #: the batch backend's executor counters).
-    watchdog_kills: int = 0
     #: Requests that arrived marked as client retries (the protocol's
     #: ``retry`` field — the resilient client's idempotent resends).
     client_retries: int = 0
-    #: Live integrity-constraint updates applied (the ``constraints``
-    #: protocol op / :meth:`MinimizationService.update_constraints`).
-    ic_updates: int = 0
-    #: Client-side circuit-breaker opens reported by clients; stays 0
-    #: unless a client surface feeds it (the breaker lives client-side).
-    breaker_opens: int = 0
-    #: Certification/audit pipeline (mirrored from the session so the
-    #: ``stats`` protocol op exposes them first-class): served answers
-    #: re-verified by the sampling auditor or the synchronous
-    #: ``certify`` path; answers whose proof failed
-    #: (each also quarantines the offending cache record — the wrong
-    #: answer is never served again); records deleted by quarantine.
-    audited: int = 0
-    audit_failures: int = 0
-    quarantined_records: int = 0
     batches: int = 0
     #: Flush cause tallies: the batch filled up vs. the oldest request's
     #: ``max_wait`` deadline expired vs. flushed early so a queued
@@ -179,55 +168,20 @@ class ServiceStats:
     flushes_deadline: int = 0
     flushes_churn: int = 0
     flushes_drain: int = 0
-    queue_high_watermark: int = 0
-    #: Total requests over total batches — the micro-batching payoff.
+    #: Deepest the request queue has been.
+    max_queue_depth: int = 0
+    #: Requests summed over batches; over ``batches``, the
+    #: micro-batching payoff (``mean_batch_size``).
     batched_requests: int = 0
     #: End-to-end latency (enqueue → result set) per completed request.
     latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     #: Time requests spent queued before their batch started.
     queue_wait: LatencyHistogram = field(default_factory=LatencyHistogram)
-    #: Backend counters absorbed from the session after each batch
-    #: (fingerprint cache hits, images-engine work, ...).
-    backend_counters: dict = field(default_factory=dict)
 
     @property
     def mean_batch_size(self) -> float:
         """Average micro-batch occupancy (1.0 = no batching happened)."""
         return self.batched_requests / self.batches if self.batches else 0.0
-
-    def counters(self) -> dict[str, float]:
-        """The stats as a flat dict (for JSON reports and the protocol's
-        ``stats`` op)."""
-        out = dict(self.backend_counters)
-        out.update(
-            {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "rejected": self.rejected,
-                "timed_out": self.timed_out,
-                "cancelled": self.cancelled,
-                "failed": self.failed,
-                "sheds": self.sheds,
-                "faults_injected": self.faults_injected,
-                "watchdog_kills": self.watchdog_kills,
-                "client_retries": self.client_retries,
-                "ic_updates": self.ic_updates,
-                "breaker_opens": self.breaker_opens,
-                "audited": self.audited,
-                "audit_failures": self.audit_failures,
-                "quarantined_records": self.quarantined_records,
-                "batches": self.batches,
-                "flushes_full": self.flushes_full,
-                "flushes_deadline": self.flushes_deadline,
-                "flushes_churn": self.flushes_churn,
-                "flushes_drain": self.flushes_drain,
-                "queue_high_watermark": self.queue_high_watermark,
-                "mean_batch_size": self.mean_batch_size,
-            }
-        )
-        out.update(self.latency.counters("latency"))
-        out.update(self.queue_wait.counters("queue_wait"))
-        return out
 
 
 @dataclass
@@ -332,7 +286,6 @@ class MinimizationService:
         self._audit_tasks: "set[asyncio.Task]" = set()
         # Recent batch wall-clock (EWMA) → the retry_after hint.
         self._recent_batch_seconds = max_wait or 0.01
-        self._oracle_stats_base = self._oracle_snapshot()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -432,8 +385,8 @@ class MinimizationService:
             ) from None
         self.stats.submitted += 1
         depth = self._queue.qsize()
-        if depth > self.stats.queue_high_watermark:
-            self.stats.queue_high_watermark = depth
+        if depth > self.stats.max_queue_depth:
+            self.stats.max_queue_depth = depth
         timeout = timeout if timeout is not None else self.default_timeout
         wait = timeout
         if deadline is not None:
@@ -525,8 +478,6 @@ class MinimizationService:
             if not update.future.done():
                 update.future.set_exception(exc)
             return
-        self.stats.ic_updates += 1
-        self.stats.backend_counters = self._merge_backend(self._session.counters())
         if not update.future.done():
             update.future.set_result(result)
 
@@ -535,15 +486,10 @@ class MinimizationService:
     # ------------------------------------------------------------------
 
     def counters(self) -> dict[str, float]:
-        """Service + backend + oracle-cache counters as one flat dict.
-
-        Oracle-cache numbers are the *delta* since this service was
-        created (the cache is process-wide)."""
-        self._sync_fault_counters()
-        out = self.stats.counters()
-        base = self._oracle_stats_base
-        for key, value in self._oracle_snapshot().items():
-            out[key] = value - base.get(key, 0)
+        """The session's counters plus the service's own
+        (:class:`ServiceStats`) as one flat dict — the ``stats`` op."""
+        out = self._session.counters()
+        out.update(self.stats.counters())
         return out
 
     def fault_events(self) -> list[list]:
@@ -552,29 +498,6 @@ class MinimizationService:
         if self.injector is None:
             return []
         return [[e.point, e.kind, e.hit] for e in self.injector.events()]
-
-    def _sync_fault_counters(self) -> None:
-        """Mirror injector / executor / audit tallies into the explicit
-        stats fields (they would otherwise be shadowed by the backend
-        dict)."""
-        if self.injector is not None:
-            self.stats.faults_injected = self.injector.faults_injected
-        backend = self.stats.backend_counters
-        self.stats.watchdog_kills = int(backend.get("watchdog_kills", 0))
-        # The session's combined audit view: synchronous certify checks
-        # (batch layer) plus this service's background sampling auditor.
-        self.stats.audited = int(
-            backend.get("audited", 0) + backend.get("certified", 0)
-        )
-        self.stats.audit_failures = int(backend.get("audit_failures", 0))
-        self.stats.quarantined_records = int(backend.get("quarantined_records", 0))
-
-    def _oracle_snapshot(self) -> dict[str, float]:
-        cache = global_cache()
-        if cache is None:  # the process-wide cache is disabled
-            return {}
-        counters = cache.stats.counters()
-        return {k: v for k, v in counters.items() if not k.endswith("_rate")}
 
     # ------------------------------------------------------------------
     # Micro-batcher
@@ -675,8 +598,6 @@ class MinimizationService:
         self._recent_batch_seconds = 0.5 * self._recent_batch_seconds + 0.5 * max(
             elapsed, 1e-6
         )
-        self.stats.backend_counters = self._merge_backend(self._session.counters())
-        self._sync_fault_counters()
         for request, result in zip(live, results):
             if request.future.done():
                 continue  # timed out / cancelled mid-batch: discard
@@ -708,21 +629,14 @@ class MinimizationService:
         task.add_done_callback(self._audit_tasks.discard)
 
     async def _audit_one(self, result: QueryResult) -> None:
-        """Run one sampled audit in a worker thread and fold the
-        session's updated audit counters back into the stats."""
+        """Run one sampled audit in a worker thread; the session counts
+        it."""
         try:
             await asyncio.to_thread(self._session.audit_result, result)
         except Exception:  # noqa: BLE001 - audits never take the service down
             # An audit that *errored* (e.g. a close racing it) proved
             # nothing either way; it is simply not counted as audited.
-            return
-        self.stats.backend_counters = self._merge_backend(self._session.counters())
-        self._sync_fault_counters()
-
-    def _merge_backend(self, counters: dict[str, float]) -> dict[str, float]:
-        """Session counters are already lifetime-cumulative; keep them
-        as-is (no summing) so the service view matches the session's."""
-        return {k: v for k, v in counters.items() if isinstance(v, (int, float))}
+            pass
 
     def _process_batch(self, patterns: list[TreePattern]) -> list[QueryResult]:
         """Synchronous batch execution — the seam tests override to

@@ -60,6 +60,8 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from .obs import Stats
+
 if TYPE_CHECKING:  # pragma: no cover - typing only (no import cycle)
     from .core.pattern import TreePattern
     from .resilience.faults import FaultInjector
@@ -90,8 +92,9 @@ _WRITER_STOP = object()
 
 
 @dataclass
-class StoreStats:
-    """Observability counters for one :class:`PersistentStore`.
+class StoreStats(Stats):
+    """Observability counters for one :class:`PersistentStore`, flattened
+    under ``store_``.
 
     ``hits``/``misses`` count ``get`` outcomes; ``corrupt_records`` and
     ``version_mismatches`` are the counted-degradation paths (each is
@@ -106,6 +109,9 @@ class StoreStats:
     witness no longer proves its answer is *semantic* corruption and is
     never served).
     """
+
+    prefix = "store_"
+    ratios = ("hit_rate",)
 
     hits: int = 0
     misses: int = 0
@@ -130,25 +136,6 @@ class StoreStats:
     def hit_rate(self) -> float:
         """Fraction of lookups served from disk."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def counters(self) -> dict[str, float]:
-        """The counters as a flat dict (for JSON reports), ``store_``-prefixed."""
-        return {
-            "store_hits": self.hits,
-            "store_misses": self.misses,
-            "store_hit_rate": self.hit_rate,
-            "store_corrupt_records": self.corrupt_records,
-            "store_version_mismatches": self.version_mismatches,
-            "store_invalidations": self.invalidations,
-            "store_writes": self.writes,
-            "store_write_batches": self.write_batches,
-            "store_write_failures": self.write_failures,
-            "store_pruned": self.pruned,
-            "store_quarantined": self.quarantined,
-            "store_warm_loaded": self.warm_loaded,
-            "store_compactions": self.compactions,
-            "store_compact_failures": self.compact_failures,
-        }
 
 
 def _checksum(payload: bytes) -> str:

@@ -44,9 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate tree pattern queries against XML or LDIF documents.",
         epilog=(
             "Every flag maps onto one repro.api.MinimizeOptions field — "
-            "the library's single configuration path. (The legacy "
-            "per-knob BatchMinimizer/minimize_batch kwargs such as "
-            "jobs=/memoize= were removed and now raise TypeError.)"
+            "the library's single configuration path."
         ),
     )
     parser.add_argument(

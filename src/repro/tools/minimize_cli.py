@@ -58,9 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimize a tree pattern query (CIM / CDM / ACIM / full pipeline).",
         epilog=(
             "Every flag maps onto one repro.api.MinimizeOptions field — "
-            "the library's single configuration path. (The legacy "
-            "per-knob BatchMinimizer/minimize_batch kwargs such as "
-            "jobs=/memoize= were removed and now raise TypeError.)"
+            "the library's single configuration path."
         ),
     )
     parser.add_argument(

@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from repro.api import STRATEGIES, MinimizeOptions, QueryResult, Session
+from repro.api import MinimizeOptions, QueryResult, Session
 from repro.batch import BatchMinimizer
 from repro.constraints.model import parse_constraints
 from repro.constraints.repository import ConstraintRepository
@@ -45,16 +45,12 @@ class TestMinimizeOptions:
     def test_defaults(self):
         options = MinimizeOptions()
         assert options.engine == "dp"
-        assert options.strategy == "pipeline"
         assert options.jobs == 1
         assert options.oracle_cache is True
-        assert options.use_cdm_prefilter is True
 
     def test_validation(self):
         with pytest.raises(ValueError, match="engine"):
             MinimizeOptions(engine="nope")
-        with pytest.raises(ValueError, match="strategy"):
-            MinimizeOptions(strategy="nope")
         with pytest.raises(ValueError, match="jobs"):
             MinimizeOptions(jobs=-1)
         for bad in (None, 0, "off"):
@@ -67,9 +63,15 @@ class TestMinimizeOptions:
         assert pooled.jobs == 2 and pooled.memoize is False
         assert options.jobs == 1 and options.memoize  # frozen original untouched
 
-    def test_strategies_pinned(self):
-        assert STRATEGIES == ("pipeline", "acim")
-        assert MinimizeOptions(strategy="acim").use_cdm_prefilter is False
+    def test_strategy_is_retired(self):
+        """Sessions always run CDM then ACIM (Theorem 5.3: the same query
+        as ACIM alone, faster); there is no strategy knob to set."""
+        import repro
+
+        with pytest.raises(TypeError, match="strategy"):
+            MinimizeOptions(strategy="acim")
+        assert not hasattr(MinimizeOptions(), "use_cdm_prefilter")
+        assert "STRATEGIES" not in repro.__all__
 
 
 class TestSessionDifferential:
@@ -113,7 +115,108 @@ class TestSession:
         assert counters["queries"] == 2
         assert counters["cache_hits"] == 1
         assert counters["hit_rate"] == pytest.approx(0.5)
-        assert "jobs" not in counters  # not summable, not aggregated
+        assert "jobs" not in counters  # a setting, not a counter
+
+    def test_max_image_size_is_the_largest_over_queries(self):
+        """Per-query maxima merge as a maximum, not a sum."""
+        queries = ("a[b][b][b]", "a[b][b]", "a[b][b][b][b]")
+        with Session() as session:
+            sizes = [
+                session.minimize(parse_xpath(q)).counters["max_image_size"]
+                for q in queries
+            ]
+            counters = session.counters()
+        assert sizes == [2, 1, 3]
+        assert counters["max_image_size"] == 3
+
+    def test_equivalence_leaves_the_images_counters_alone(self):
+        """The containment DP's base sets count under ``containment_``,
+        apart from the images engine's base-candidate memo."""
+        with Session() as session:
+            session.minimize(parse_xpath("a[b][b][b]"))
+            before = session.counters()
+            assert session.equivalent(parse_xpath("a/b[c][c]"), parse_xpath("a/b[c]"))
+            after = session.counters()
+        for key in ("base_cache_hits", "base_cache_misses"):
+            assert after[key] == before[key]
+        assert (
+            after["containment_base_cache_misses"]
+            > before["containment_base_cache_misses"]
+        )
+
+    def test_constrained_equivalence_is_counted(self):
+        """Equivalence under constraints counts its containment work, as
+        absolute equivalence does: one oracle-cache lookup per direction,
+        and the DP's base sets when the cache is off."""
+        q1, q2 = parse_xpath("a/b[c][c]"), parse_xpath("a/b[c]")
+        with Session(constraints=CONSTRAINTS) as session:
+            assert session.equivalent(q1, q2)
+            cached = session.counters()
+        options = MinimizeOptions(oracle_cache=False)
+        with Session(options, constraints=CONSTRAINTS) as session:
+            assert session.equivalent(q1, q2)
+            uncached = session.counters()
+        assert (
+            cached["containment_oracle_cache_hits"]
+            + cached["containment_oracle_cache_misses"]
+        ) == 2
+        assert uncached["containment_base_cache_misses"] > 0
+
+    def test_concurrent_calls_lose_no_count(self):
+        """The session merges each call's stats under a lock: threads
+        counting at once lose no update, even with a switch interval
+        short enough to interleave every merge."""
+        import sys
+        import threading
+
+        query = parse_xpath("a/b[c]")
+        calls, workers = 300, 4
+        with Session(MinimizeOptions(audit_rate=0)) as session:
+
+            def work():
+                for _ in range(calls):
+                    session.equivalent(query, query)
+
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            counters = session.counters()
+        assert counters["containment_equivalent_fast_path"] == calls * workers
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_only_equivalence_consults_the_oracle_cache(self, enabled, monkeypatch):
+        """Minimization, the certificate checker and both audit paths
+        never look up the containment-oracle cache, whatever
+        ``oracle_cache`` says; equivalence does exactly when it is on."""
+        lookups = []
+        real = oracle_cache.ContainmentOracleCache.lookup
+
+        def spy(cache, *args, **kwargs):
+            lookups.append(1)
+            return real(cache, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_cache.ContainmentOracleCache, "lookup", spy)
+        options = MinimizeOptions(oracle_cache=enabled, certify=True)
+        queries = [parse_xpath("a/b[c][c]"), parse_xpath("a[b][b]")]
+        with Session(options, constraints=CONSTRAINTS) as session:
+            results = session.minimize_many(queries)
+            assert session.check_certificate(results[0])
+            assert session.audit_result(results[0])  # checks the certificate
+            uncertified = QueryResult(
+                pattern=results[1].pattern, input_pattern=results[1].input_pattern
+            )
+            assert session.audit_result(uncertified)  # recomputes cold
+            assert lookups == []
+            assert session.equivalent(queries[0], parse_xpath("a/b[c]"))
+        assert bool(lookups) is enabled
 
     def test_per_call_repo_overrides_default(self):
         query = parse_xpath("a[b][.//c]")
@@ -280,22 +383,23 @@ class TestQueryResult:
 
 
 class TestLegacyKwargsRemoved:
-    """The deprecated per-knob kwargs finished their cycle: TypeError now."""
+    """The deprecated per-knob kwargs finished their cycle: Python's own
+    TypeError names the unexpected keyword."""
 
     def test_batch_minimizer_legacy_kwargs_raise_with_hint(self):
-        with pytest.raises(TypeError, match="MinimizeOptions"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'jobs'"):
             BatchMinimizer(CONSTRAINTS, jobs=1, memoize=False)
-        with pytest.raises(TypeError, match="jobs -> MinimizeOptions"):
+        with pytest.raises(TypeError, match="jobs"):
             BatchMinimizer(CONSTRAINTS, jobs=4)
 
     def test_minimize_batch_legacy_kwargs_raise_with_hint(self):
         from repro.batch import minimize_batch
 
-        with pytest.raises(TypeError, match="MinimizeOptions"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'jobs'"):
             minimize_batch([parse_xpath("a/b[c][c]")], CONSTRAINTS, jobs=2)
 
     def test_unknown_kwargs_still_rejected(self):
-        with pytest.raises(TypeError, match="unknown"):
+        with pytest.raises(TypeError, match="frobnicate"):
             BatchMinimizer(CONSTRAINTS, frobnicate=True)
 
     def test_options_path_is_silent(self):

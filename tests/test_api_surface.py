@@ -60,14 +60,13 @@ def test_session_api_is_exported():
     pinned public configuration path."""
     import dataclasses
 
-    for name in ("Session", "MinimizeOptions", "QueryResult", "STRATEGIES"):
+    for name in ("Session", "MinimizeOptions", "QueryResult"):
         assert name in repro.__all__, f"repro.__all__ is missing {name}"
     fields = {f.name for f in dataclasses.fields(repro.MinimizeOptions)}
     assert fields == {
         "engine",
         "oracle_cache",
         "jobs",
-        "strategy",
         "memoize",
         "watchdog",
         "fault_plan",

@@ -183,7 +183,7 @@ class TestBatchMinimizer:
         assert counters["queries"] == 12 and counters["hit_rate"] == 0.75
         # Engine counters aggregate over the 3 representatives only —
         # cache hits do no images-engine work.
-        assert stats.engine_counters["engine_builds"] == 3
+        assert batch.images_stats.engine_builds == 3
 
     def test_empty_workload(self):
         batch = minimize_batch([], CONSTRAINTS)
@@ -361,7 +361,7 @@ class TestPoolLifetime:
     def test_one_shot_minimize_batch_leaves_no_live_worker(self):
         before = _live_children()
         batch = minimize_batch(self.queries(), CONSTRAINTS, MinimizeOptions(jobs=2))
-        assert batch.stats.engine_counters["dispatched_chunks"] > 0
+        assert batch.executor_stats.dispatched_chunks > 0
         assert _live_children() <= before
 
     def test_one_shot_evaluate_batch_leaves_no_live_worker(self):

@@ -486,8 +486,8 @@ def test_fast_path_equivalence_audited_under_certify():
     with Session(MinimizeOptions(certify=True)) as session:
         assert session.equivalent(q1, q2) is True
         counters = session.counters()
-    assert counters["equivalent_fast_path_audited"] == 1
-    assert counters["equivalent_fast_path_uncertified"] == 0
+    assert counters["containment_equivalent_fast_path_audited"] == 1
+    assert counters["containment_equivalent_fast_path_uncertified"] == 0
 
 
 def test_fast_path_equivalence_sampled_by_audit_rate():
@@ -495,8 +495,8 @@ def test_fast_path_equivalence_sampled_by_audit_rate():
     with Session(MinimizeOptions(audit_rate=1)) as session:
         assert session.equivalent(q1, q2) is True
         counters = session.counters()
-    assert counters["equivalent_fast_path_audited"] == 1
-    assert counters["equivalent_fast_path_uncertified"] == 0
+    assert counters["containment_equivalent_fast_path_audited"] == 1
+    assert counters["containment_equivalent_fast_path_uncertified"] == 0
 
 
 def test_fast_path_equivalence_counted_when_unaudited():
@@ -504,8 +504,8 @@ def test_fast_path_equivalence_counted_when_unaudited():
     with Session(MinimizeOptions(audit_rate=0)) as session:
         assert session.equivalent(q1, q2) is True
         counters = session.counters()
-    assert counters["equivalent_fast_path_uncertified"] == 1
-    assert counters.get("equivalent_fast_path_audited", 0) == 0
+    assert counters["containment_equivalent_fast_path_uncertified"] == 1
+    assert counters["containment_equivalent_fast_path_audited"] == 0
 
 
 # ---------------------------------------------------------------------------

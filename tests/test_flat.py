@@ -549,7 +549,7 @@ class TestJobsAuto:
             batch = minimizer.minimize_all(queries)
             assert minimizer._pool is None
         assert [p.size for p in batch.patterns()] == [3] * AUTO_SERIAL_THRESHOLD
-        assert batch.stats.engine_counters["dispatched_chunks"] == 0
+        assert batch.executor_stats.dispatched_chunks == 0
 
     def test_options_accept_auto(self):
         assert MinimizeOptions(jobs="auto").jobs == "auto"

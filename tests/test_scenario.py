@@ -383,9 +383,16 @@ def test_committed_scenario_digests_reproduce(name):
 def test_committed_scenario_digests_hold_on_the_service(name, paced):
     """The event log measures the workload, not the backend: the burst
     pack paced on a live service and the churn pack on a service give
-    the session's digests."""
+    the session's digests. Both report one counters namespace: the
+    service reports every name the session does, and adds only its own
+    queue, batch and latency counters."""
+    from repro.service import ServiceStats
+
     report = replay_pack(name, target="service", paced=paced)
     assert report.digest == COMMITTED_DIGESTS[name]
+    session = replay_pack(name, target="session").counters
+    assert set(session) <= set(report.counters)
+    assert set(report.counters) - set(session) == set(ServiceStats().counters())
 
 
 def test_churn_pack_invalidates_and_passes_cold_probes():

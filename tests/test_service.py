@@ -374,6 +374,26 @@ class TestStats:
         assert counters["mean_batch_size"] == 2.0
         assert "latency_count" in counters and "queue_wait_count" in counters
 
+    def test_stats_op_reports_the_sessions_counters(self):
+        """The ``stats`` op is the session's counters plus the service's
+        own. A certified service checks every answer inline and samples
+        no audit, so it reports the session's ``audited`` (none), not
+        that plus ``certified``."""
+
+        async def scenario():
+            async with MinimizationService(
+                MinimizeOptions(certify=True), constraints=CONSTRAINTS
+            ) as service:
+                for query in ("a/b[c][c]", "a/b", "a[b][b]"):
+                    line = json.dumps({"op": "minimize", "query": query})
+                    assert (await handle_line(service, line))["ok"]
+                stats = await handle_line(service, '{"op": "stats"}')
+                return stats["result"], service._session.counters()
+
+        served, session = run(scenario())
+        assert served["certified"] == session["certified"] >= 3
+        assert served["audited"] == session["audited"] == 0
+
     def test_flush_reasons_accounted(self):
         async def scenario():
             async with MinimizationService(
@@ -533,6 +553,17 @@ class TestServeCli:
         "argv", [["--shards", "2"], ["--shard-policy", "overflow"]]
     )
     def test_fleet_flags_are_rejected(self, argv, capsys):
+        from repro.service.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--engine", "dp"], ["--strategy", "acim"]])
+    def test_retired_option_flags_are_rejected(self, argv, capsys):
+        """The protocol evaluates nothing, and sessions always run the
+        CDM-then-ACIM pipeline: neither flag has anything to set."""
         from repro.service.cli import main
 
         with pytest.raises(SystemExit) as exc:
