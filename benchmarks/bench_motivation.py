@@ -14,7 +14,7 @@ import pytest
 from repro.constraints.closure import closure
 from repro.core.pipeline import minimize
 from repro.data.generate import random_satisfying_tree
-from repro.matching import EmbeddingEngine, TwigJoinEngine
+from repro.matching import EmbeddingEngine
 from repro.matching.stats import DocumentStatistics, estimate_cost
 from repro.workloads.querygen import redundancy_query
 
@@ -51,12 +51,6 @@ def test_match_minimized(benchmark, workload):
     answers = benchmark(run)
     originals = [EmbeddingEngine(query, d).answer_set() for d in documents]
     assert answers == originals
-
-
-@pytest.mark.benchmark(group="motivation: twig-join engine, minimized query")
-def test_match_minimized_twig(benchmark, workload):
-    _, minimized, documents = workload
-    benchmark(lambda: [TwigJoinEngine(minimized, d).answer_set() for d in documents])
 
 
 def test_cost_estimate_ranks_correctly(workload):

@@ -2,15 +2,14 @@
 
 Before this module existed, every layer threaded its own keyword soup —
 ``minimize(..., use_cdm_prefilter=..., certify=...)``,
-``BatchMinimizer(..., jobs=..., use_cdm_prefilter=...)``,
-``evaluate(..., engine=...)`` — and the CLIs, benchmarks, and the
-serving layer each re-invented the plumbing. :class:`Session` collapses
-that into a single configuration path:
+``BatchMinimizer(..., jobs=..., use_cdm_prefilter=...)`` — and the
+CLIs, benchmarks, and the serving layer each re-invented the plumbing.
+:class:`Session` collapses that into a single configuration path:
 
 * :class:`MinimizeOptions` — one frozen dataclass capturing *all* the
-  knobs (``engine``, ``oracle_cache``, ``jobs``, plus the batch-backend
-  tuning fields);
-* :class:`Session` — a facade owning the engine/cache/jobs wiring:
+  knobs (``oracle_cache``, ``jobs``, plus the batch-backend tuning
+  fields);
+* :class:`Session` — a facade owning the cache/jobs wiring:
   ``session.minimize(...)``, ``session.minimize_many(...)``,
   ``session.evaluate(...)``, ``session.equivalent(...)``. A session
   keeps one :class:`~repro.batch.minimizer.BatchMinimizer` per
@@ -31,10 +30,11 @@ Quickstart::
 
 Sessions honor ``oracle_cache=False`` by running :meth:`Session.equivalent`
 inside the re-entrant
-:func:`~repro.core.oracle_cache.oracle_cache_disabled` scope — they never
-mutate the process-wide switch, so concurrent sessions with different
-settings compose. Equivalence is the only session call that consults
-that cache: minimization and the certificate checker never do.
+:func:`~repro.core.oracle_cache.oracle_cache_disabled` scope, which
+covers the calling thread only — they never mutate the process-wide
+switch, so concurrent sessions with different settings compose.
+Equivalence is the only session call that consults that cache:
+minimization and the certificate checker never do.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .core.oracle_cache import (
 )
 from .core.pattern import TreePattern
 from .core.pipeline import MinimizeResult
-from .matching.evaluator import ENGINES, Database, evaluate as _evaluate
+from .matching.evaluator import Database, evaluate as _evaluate
 from .parsing.serializer import to_xpath
 from .parsing.sexpr import to_sexpr
 from .resilience.faults import FaultInjector, FaultPlan
@@ -102,9 +102,6 @@ class MinimizeOptions:
 
     Attributes
     ----------
-    engine:
-        Matching engine used by :meth:`Session.evaluate`
-        (``dp``/``twig``/``pathstack``/``twigmerge``).
     oracle_cache:
         ``True`` (default) lets :meth:`Session.equivalent` (and its
         fast-path audits) use the process-wide containment-oracle cache,
@@ -156,7 +153,6 @@ class MinimizeOptions:
         every answer is checked synchronously anyway.
     """
 
-    engine: str = "dp"
     oracle_cache: bool = True
     jobs: Union[int, str] = 1
     memoize: bool = True
@@ -167,10 +163,6 @@ class MinimizeOptions:
     audit_rate: int = 64
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (expected one of {ENGINES})"
-            )
         if not isinstance(self.oracle_cache, bool):
             raise ValueError(
                 f"oracle_cache must be a bool, got {self.oracle_cache!r}"
@@ -419,7 +411,7 @@ class ConstraintUpdateResult:
 class Session:
     """A long-lived facade over the minimization stack.
 
-    One session owns the whole engine/cache/jobs configuration
+    One session owns the whole cache/jobs configuration
     (:class:`MinimizeOptions`) and amortizes shared state across calls:
     constraint closures are computed once per repository, the
     fingerprint memo and containment-oracle caches persist, and (with
@@ -575,20 +567,16 @@ class Session:
         patterns: "TreePattern | Sequence[TreePattern]",
         database: Database,
     ) -> "set[tuple[int, int]] | list[set[tuple[int, int]]]":
-        """Answer set(s) over ``database`` with the session's engine.
+        """Answer set(s) over ``database``, computed by the candidate-set
+        DP (:class:`~repro.matching.embeddings.EmbeddingEngine`).
 
         A single pattern returns one ``{(tree_index, node_id)}`` set; a
         sequence returns one set per query (via the batch evaluator,
         fanned across the session's ``jobs``).
         """
         if isinstance(patterns, TreePattern):
-            return _evaluate(patterns, database, engine=self.options.engine)
-        return evaluate_batch(
-            list(patterns),
-            database,
-            engine=self.options.engine,
-            jobs=self.options.jobs,
-        )
+            return _evaluate(patterns, database)
+        return evaluate_batch(list(patterns), database, jobs=self.options.jobs)
 
     def equivalent(
         self, q1: TreePattern, q2: TreePattern, repo: Constraints = None

@@ -18,42 +18,36 @@ from typing import Sequence
 
 from ..core.pattern import TreePattern
 from ..data.tree import DataTree
-from ..errors import EvaluationError
-from ..matching.evaluator import Database, _engine_class, _trees
+from ..matching.embeddings import EmbeddingEngine
+from ..matching.evaluator import Database, _trees
 from .executor import WorkerPool, process_map, resolve_jobs, use_pool
 
 __all__ = ["evaluate_batch"]
 
-# Worker-process globals, set once per worker by `_init_eval_worker`.
+# Worker-process global, set once per worker by `_init_eval_worker`.
 _EVAL_PATTERNS: Sequence[TreePattern] = ()
-_EVAL_ENGINE: str = "dp"
 
 
-def _init_eval_worker(patterns_bytes: bytes, engine: str) -> None:
-    global _EVAL_PATTERNS, _EVAL_ENGINE
+def _init_eval_worker(patterns_bytes: bytes) -> None:
+    global _EVAL_PATTERNS
     _EVAL_PATTERNS = pickle.loads(patterns_bytes)
-    _EVAL_ENGINE = engine
 
 
 def _eval_tree(
-    patterns: Sequence[TreePattern], engine: str, payload: tuple[int, DataTree]
+    patterns: Sequence[TreePattern], payload: tuple[int, DataTree]
 ) -> tuple[int, list[set[int]]]:
     tree_index, tree = payload
-    engine_class = _engine_class(engine)
-    return tree_index, [
-        set(engine_class(pattern, tree).answer_set()) for pattern in patterns
-    ]
+    return tree_index, [EmbeddingEngine(pattern, tree).answer_set() for pattern in patterns]
 
 
 def _eval_one_tree(payload: tuple[int, DataTree]) -> tuple[int, list[set[int]]]:
-    return _eval_tree(_EVAL_PATTERNS, _EVAL_ENGINE, payload)
+    return _eval_tree(_EVAL_PATTERNS, payload)
 
 
 def evaluate_batch(
     patterns: Sequence[TreePattern],
     database: Database,
     *,
-    engine: str = "dp",
     jobs: "int | str" = 1,
 ) -> list[set[tuple[int, int]]]:
     """Answer sets for every query in ``patterns`` over ``database``.
@@ -66,22 +60,13 @@ def evaluate_batch(
     lives for this call only.
     """
     patterns = list(patterns)
-    _engine_class(engine)  # fail fast on unknown engine names
-    if engine == "pathstack":
-        from ..matching.pathstack import is_path_pattern
-
-        for i, pattern in enumerate(patterns):
-            if not is_path_pattern(pattern):
-                raise EvaluationError(
-                    f"engine 'pathstack' requires linear queries; query #{i} branches"
-                )
     payloads = list(enumerate(_trees(database)))
-    local = partial(_eval_tree, patterns, engine)
+    local = partial(_eval_tree, patterns)
     if use_pool(jobs, len(payloads)):
         with WorkerPool(
             min(resolve_jobs(jobs), len(payloads)),
             initializer=_init_eval_worker,
-            initargs=(pickle.dumps(patterns), engine),
+            initargs=(pickle.dumps(patterns),),
         ) as pool:
             per_tree = process_map(_eval_one_tree, payloads, pool=pool, local=local)
     else:

@@ -286,6 +286,9 @@ class BatchMinimizer:
             start = time.perf_counter()
             repo = closure(repo)
             self.closure_seconds = time.perf_counter() - start
+        #: The closure ran once, here: the first batch's stats carry its
+        #: cost, so a total summed over batches counts it once.
+        self._unreported_closure_seconds = self.closure_seconds
         self.repository = repo
         self._cache: dict[str, _MemoEntry] = {}
         #: Optional persistent backend (duck-typed
@@ -325,7 +328,10 @@ class BatchMinimizer:
         serially or across the worker pool.
         """
         patterns = list(patterns)
-        stats = BatchStats(queries=len(patterns), closure_seconds=self.closure_seconds)
+        stats = BatchStats(
+            queries=len(patterns), closure_seconds=self._unreported_closure_seconds
+        )
+        self._unreported_closure_seconds = 0.0
         images_stats, executor_stats = ImagesStats(), ExecutorStats()
         if self.injector is not None:
             fault = self.injector.draw("batch.run")

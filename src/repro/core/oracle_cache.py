@@ -25,8 +25,8 @@ A single process-wide instance (:func:`global_cache`) backs
 ``mapping_targets`` by default, so repeated oracle calls — equivalence
 checks in tests, the brute-force minimizer, containment-under-ICs, and
 cross-query workloads — share one table store. Disable it process-wide
-with :func:`set_global_enabled`, per call with ``cache=None``, or
-temporarily with :func:`oracle_cache_disabled` (the scope behind
+with :func:`set_global_enabled`, per call with ``cache=None``, or for
+the calling thread with :func:`oracle_cache_disabled` (the scope behind
 ``MinimizeOptions(oracle_cache=False)`` and ``repro-serve
 --no-oracle-cache``). The cache is deliberately *not*
 picklable state: worker processes of the batch backend simply rebuild
@@ -45,6 +45,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -396,11 +397,13 @@ _global_store: Optional[object] = None
 #: independent checker; module-level for the same restart-survival
 #: reason as ``_global_store``.
 _global_store_audit: bool = False
-#: Nesting depth of active :func:`oracle_cache_disabled` scopes. The
-#: context manager counts instead of flipping ``_global_enabled`` so
-#: nested/concurrent scopes compose (re-entrant) and an exception inside
-#: one scope can never leave the process-wide switch stuck off.
-_disabled_depth: int = 0
+#: Nesting depth of active :func:`oracle_cache_disabled` scopes in the
+#: current context: its thread, and the ``asyncio.to_thread`` work it
+#: starts, which copies the context. The context manager counts instead
+#: of flipping ``_global_enabled`` so nested scopes compose (re-entrant),
+#: a scope in one thread leaves every other thread's cache on, and an
+#: exception inside one scope can never leave the cache stuck off.
+_disabled_depth: ContextVar[int] = ContextVar("oracle_cache_disabled_depth", default=0)
 
 
 def global_cache() -> Optional[ContainmentOracleCache]:
@@ -453,8 +456,9 @@ def global_enabled() -> bool:
     """Whether the process-wide containment-oracle cache is enabled.
 
     False while the ``set_global_enabled(False)`` switch is off **or**
-    any :func:`oracle_cache_disabled` scope is active."""
-    return _global_enabled and _disabled_depth == 0
+    an :func:`oracle_cache_disabled` scope is active in the caller's
+    context."""
+    return _global_enabled and _disabled_depth.get() == 0
 
 
 def set_global_enabled(enabled: bool) -> None:
@@ -474,20 +478,20 @@ def reset_global_cache() -> None:
 
 @contextmanager
 def oracle_cache_disabled() -> Iterator[None]:
-    """Temporarily disable the process-wide cache — the uncached side of
-    differential tests and benchmarks.
+    """Disable the process-wide cache for the caller — the uncached side
+    of differential tests and benchmarks.
 
-    Re-entrant and exception-safe: scopes nest through a depth counter
-    (the cache stays off until the outermost scope exits) and never
-    mutate the :func:`set_global_enabled` switch, so overlapping scopes —
-    e.g. a :class:`~repro.api.Session` with ``oracle_cache=False`` used
-    inside a test that already disabled the cache — restore the previous
-    state exactly, even when the body raises."""
-    global _disabled_depth
-    with _global_lock:
-        _disabled_depth += 1
+    The scope covers the calling thread and the ``asyncio.to_thread``
+    work started inside it; every other thread keeps the cache. It is
+    re-entrant and exception-safe: scopes nest through a per-context
+    depth counter (the cache stays off until the outermost scope exits)
+    and never mutate the process-wide :func:`set_global_enabled` switch,
+    so overlapping scopes — e.g. a :class:`~repro.api.Session` with
+    ``oracle_cache=False`` used inside a test that already disabled the
+    cache — restore the previous state exactly, even when the body
+    raises."""
+    token = _disabled_depth.set(_disabled_depth.get() + 1)
     try:
         yield
     finally:
-        with _global_lock:
-            _disabled_depth -= 1
+        _disabled_depth.reset(token)

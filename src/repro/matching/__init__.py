@@ -4,11 +4,7 @@ from .indexes import DataIndex
 from .embeddings import Embedding, EmbeddingEngine
 from .evaluator import agree_on, count_embeddings, evaluate, evaluate_nodes, matches
 from .satisfaction import Violation, satisfies, violations
-from .structural import TwigJoinEngine
 from .stats import DocumentStatistics, estimate_cost, measured_cost
-from .pathstack import PathStackEngine, is_path_pattern
-from .twigmerge import TwigMergeEngine
-from .planner import Plan, execute, plan
 
 __all__ = [
     "DataIndex",
@@ -22,14 +18,7 @@ __all__ = [
     "Violation",
     "satisfies",
     "violations",
-    "TwigJoinEngine",
     "DocumentStatistics",
     "estimate_cost",
     "measured_cost",
-    "PathStackEngine",
-    "is_path_pattern",
-    "TwigMergeEngine",
-    "Plan",
-    "plan",
-    "execute",
 ]

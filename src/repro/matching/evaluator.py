@@ -1,12 +1,11 @@
 """Answer-set evaluation of patterns over trees and forests.
 
-Thin convenience layer over the evaluation engines: evaluate one pattern
-against a tree or a forest, get the answer set (for directory semantics:
-the matched entries; for XML semantics: the roots of the returned
-subtrees), check equivalence of two patterns on a given database, and
-count matches. The ``engine`` argument selects between the candidate-set
-DP (default), the structural twig join, PathStack (linear queries only),
-and the path-merge twig join.
+Thin convenience layer over the candidate-set DP
+(:class:`~repro.matching.embeddings.EmbeddingEngine`): evaluate one
+pattern against a tree or a forest, get the answer set (for directory
+semantics: the matched entries; for XML semantics: the roots of the
+returned subtrees), check equivalence of two patterns on a given
+database, and count matches.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Iterable, Union
 
 from ..core.pattern import TreePattern
 from ..data.tree import DataNode, DataTree, Forest
-from ..errors import EvaluationError
 from .embeddings import EmbeddingEngine
 
 __all__ = [
@@ -28,9 +26,6 @@ __all__ = [
 
 Database = Union[DataTree, Forest, Iterable[DataTree]]
 
-#: Engine name -> engine class (resolved lazily to avoid import cycles).
-ENGINES = ("dp", "twig", "pathstack", "twigmerge")
-
 
 def _trees(database: Database) -> list[DataTree]:
     if isinstance(database, DataTree):
@@ -38,82 +33,37 @@ def _trees(database: Database) -> list[DataTree]:
     return list(database)
 
 
-def _engine_class(name: str):
-    if name == "dp":
-        return EmbeddingEngine
-    if name == "twig":
-        from .structural import TwigJoinEngine
-
-        return TwigJoinEngine
-    if name == "pathstack":
-        from .pathstack import PathStackEngine
-
-        return PathStackEngine
-    if name == "twigmerge":
-        from .twigmerge import TwigMergeEngine
-
-        return TwigMergeEngine
-    raise EvaluationError(f"unknown engine {name!r} (expected one of {ENGINES})")
-
-
-def evaluate(
-    pattern: TreePattern, database: Database, *, engine: str = "dp"
-) -> set[tuple[int, int]]:
+def evaluate(pattern: TreePattern, database: Database) -> set[tuple[int, int]]:
     """The answer set as ``(tree_index, node_id)`` pairs.
 
     Tree indexes make answers from different forest members
     distinguishable even though node ids are only unique per tree.
     """
-    engine_class = _engine_class(engine)
     out: set[tuple[int, int]] = set()
     for i, tree in enumerate(_trees(database)):
-        out.update((i, node_id) for node_id in engine_class(pattern, tree).answer_set())
+        out.update((i, node_id) for node_id in EmbeddingEngine(pattern, tree).answer_set())
     return out
 
 
-def evaluate_nodes(
-    pattern: TreePattern, database: Database, *, engine: str = "dp"
-) -> list[DataNode]:
+def evaluate_nodes(pattern: TreePattern, database: Database) -> list[DataNode]:
     """The answer set as data nodes (document order per tree)."""
-    engine_class = _engine_class(engine)
     out: list[DataNode] = []
     for tree in _trees(database):
-        if engine == "dp":
-            out.extend(engine_class(pattern, tree).answer_nodes())
-        else:
-            ids = engine_class(pattern, tree).answer_set()
-            out.extend(node for node in tree.nodes() if node.id in ids)
+        out.extend(EmbeddingEngine(pattern, tree).answer_nodes())
     return out
 
 
-def count_embeddings(pattern: TreePattern, database: Database, *, engine: str = "dp") -> int:
-    """Total number of embeddings across the database.
-
-    Only the engines that enumerate embeddings (``dp``, ``twigmerge``)
-    can count them; the others raise :class:`EvaluationError`.
-    """
-    engine_class = _engine_class(engine)
-    if not hasattr(engine_class, "count_embeddings"):
-        raise EvaluationError(
-            f"engine {engine!r} cannot count embeddings (use 'dp' or 'twigmerge')"
-        )
-    return sum(engine_class(pattern, t).count_embeddings() for t in _trees(database))
+def count_embeddings(pattern: TreePattern, database: Database) -> int:
+    """Total number of embeddings across the database."""
+    return sum(EmbeddingEngine(pattern, t).count_embeddings() for t in _trees(database))
 
 
-def matches(pattern: TreePattern, database: Database, *, engine: str = "dp") -> bool:
+def matches(pattern: TreePattern, database: Database) -> bool:
     """Whether the pattern embeds anywhere in the database."""
-    engine_class = _engine_class(engine)
-    for tree in _trees(database):
-        instance = engine_class(pattern, tree)
-        found = instance.exists() if hasattr(instance, "exists") else bool(instance.answer_set())
-        if found:
-            return True
-    return False
+    return any(EmbeddingEngine(pattern, t).exists() for t in _trees(database))
 
 
-def agree_on(
-    q1: TreePattern, q2: TreePattern, database: Database, *, engine: str = "dp"
-) -> bool:
+def agree_on(q1: TreePattern, q2: TreePattern, database: Database) -> bool:
     """Whether two queries produce the same answer set on this database.
 
     Used by the property tests as the *semantic* (per-instance) check that
@@ -124,4 +74,4 @@ def agree_on(
     are safe to pass: both queries see every tree.
     """
     trees = _trees(database)
-    return evaluate(q1, trees, engine=engine) == evaluate(q2, trees, engine=engine)
+    return evaluate(q1, trees) == evaluate(q2, trees)

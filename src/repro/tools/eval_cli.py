@@ -1,11 +1,15 @@
 """``tpq-eval`` — run tree pattern queries against XML or LDIF files.
 
+Answers come from the candidate-set DP
+(:class:`~repro.matching.embeddings.EmbeddingEngine`), the library's one
+evaluator.
+
 Examples::
 
     tpq-eval 'Library//Book*[Title]' catalog.xml
     tpq-eval 'Organization//Person*' directory.ldif --format ldif
     tpq-eval 'Catalog/Product*[Vendor]' catalog.xml \\
-        -c 'Product -> Vendor' --minimize --engine twig --count
+        -c 'Product -> Vendor' --minimize --count
 
 Several documents form a forest; ``--jobs`` fans the trees across
 worker processes. ``--batch`` evaluates a whole file of queries (one per
@@ -29,7 +33,6 @@ from ..data.ldap import dn_of
 from ..data.tree import DataNode, DataTree
 from ..data.xml_io import parse_xml
 from ..errors import ReproError
-from ..matching.pathstack import is_path_pattern
 from ..parsing.serializer import to_xpath
 from ..parsing.xpath import parse_xpath
 from .minimize_cli import _jobs_arg
@@ -75,12 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "xml", "ldif"),
         default="auto",
         help="document format (auto: by file extension)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("dp", "twig", "pathstack", "twigmerge"),
-        default="dp",
-        help="matching engine (pathstack requires linear queries)",
     )
     parser.add_argument(
         "-c", "--constraints", default=None, help="';'-separated integrity constraints"
@@ -160,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         trees = [tree for tree, _ in loaded]
         docs = [(path, is_dir) for path, (_, is_dir) in zip(documents, loaded)]
 
-        options = MinimizeOptions(engine=args.engine, jobs=args.jobs)
+        options = MinimizeOptions(jobs=args.jobs)
         with Session(options, constraints=constraints) as session:
             minimized_results = None
             if args.minimize:
@@ -169,15 +166,6 @@ def main(argv: list[str] | None = None) -> int:
                 if not args.json:
                     for pattern in patterns:
                         print(f"# minimized to: {to_xpath(pattern)}", file=sys.stderr)
-
-            if args.engine == "pathstack":
-                for pattern in patterns:
-                    if not is_path_pattern(pattern):
-                        print(
-                            "error: --engine pathstack requires a linear query",
-                            file=sys.stderr,
-                        )
-                        return 2
 
             answer_sets = session.evaluate(patterns, trees)
 

@@ -44,13 +44,10 @@ def random_workload(seed: int, *, n_queries: int = 6, max_size: int = 8):
 class TestMinimizeOptions:
     def test_defaults(self):
         options = MinimizeOptions()
-        assert options.engine == "dp"
         assert options.jobs == 1
         assert options.oracle_cache is True
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            MinimizeOptions(engine="nope")
         with pytest.raises(ValueError, match="jobs"):
             MinimizeOptions(jobs=-1)
         for bad in (None, 0, "off"):
@@ -128,6 +125,23 @@ class TestSession:
             counters = session.counters()
         assert sizes == [2, 1, 3]
         assert counters["max_image_size"] == 3
+
+    def test_closure_is_counted_once(self):
+        """The closure runs once per repository; the session's total
+        counts it once however many batches follow, and a one-shot
+        batch still reports it."""
+        with Session(constraints=CONSTRAINTS) as session:
+            for text in ("a[b]", "a[c]", "b[c]", "a[b][c]"):
+                session.minimize(parse_xpath(text))
+            closure_seconds = session._minimizer_for(None).closure_seconds
+            counters = session.counters()
+        assert closure_seconds > 0
+        assert counters["closure_seconds"] == closure_seconds
+        with BatchMinimizer(CONSTRAINTS) as minimizer:
+            first = minimizer.minimize_all([parse_xpath("a[b]")])
+            second = minimizer.minimize_all([parse_xpath("a[c]")])
+        assert first.stats.closure_seconds == minimizer.closure_seconds > 0
+        assert second.stats.closure_seconds == 0
 
     def test_equivalence_leaves_the_images_counters_alone(self):
         """The containment DP's base sets count under ``containment_``,

@@ -64,7 +64,6 @@ def test_session_api_is_exported():
         assert name in repro.__all__, f"repro.__all__ is missing {name}"
     fields = {f.name for f in dataclasses.fields(repro.MinimizeOptions)}
     assert fields == {
-        "engine",
         "oracle_cache",
         "jobs",
         "memoize",

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
+from matching_reference import reference_images
 from repro import equivalent_under, minimize
 from repro.constraints.inference import infer_constraints
 from repro.data import parse_ldif, parse_xml, to_xml
-from repro.matching import (
-    EmbeddingEngine,
-    TwigJoinEngine,
-    evaluate,
-    evaluate_nodes,
-    satisfies,
-)
+from repro.matching import EmbeddingEngine, evaluate, evaluate_nodes, satisfies
 from repro.parsing import parse_xpath, to_xpath
 from repro.schema import conforms, parse_schema
 
@@ -96,6 +91,7 @@ class TestXmlScenario:
         assert result.pattern.size == 2  # the Product branch is implied
 
     def test_both_engines_agree_on_document(self):
+        """The DP against the definition-level reference matcher."""
         for text in (
             "Catalog//Name",
             "Product*[Review/Rating]",
@@ -104,7 +100,7 @@ class TestXmlScenario:
             pattern = parse_xpath(text)
             assert (
                 EmbeddingEngine(pattern, self.tree).answer_set()
-                == TwigJoinEngine(pattern, self.tree).answer_set()
+                == reference_images(pattern, self.tree)
             ), text
 
     def test_xml_round_trip_preserves_answers(self):

@@ -12,7 +12,9 @@ containment (the ``equivalent`` fast path).
 
 from __future__ import annotations
 
+import asyncio
 import random
+import threading
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -151,6 +153,31 @@ class TestGlobalSwitch:
         with oracle_cache_disabled():
             assert not global_enabled()
             assert global_cache() is None
+        assert global_enabled()
+
+    def test_scope_is_the_callers_alone(self):
+        """A scope covers its own thread and the ``asyncio.to_thread``
+        work it starts; every other thread keeps a live cache."""
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def scoped():
+            with oracle_cache_disabled():
+                seen["scoped"] = global_cache()
+                seen["to_thread"] = asyncio.run(asyncio.to_thread(global_cache))
+                inside.set()
+                release.wait(10)
+
+        worker = threading.Thread(target=scoped)
+        worker.start()
+        try:
+            assert inside.wait(10)
+            seen["other"] = global_cache()
+        finally:
+            release.set()
+            worker.join()
+        assert seen["scoped"] is None and seen["to_thread"] is None
+        assert seen["other"] is not None
         assert global_enabled()
 
     def test_global_cache_serves_repeats(self):

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import pytest
 
+from matching_reference import reference_images
 from repro import TreePattern, cdm_minimize, cim_minimize, minimize
 from repro.constraints.closure import closure
 from repro.data.generate import random_tree
-from repro.matching import EmbeddingEngine, TwigJoinEngine
+from repro.matching import EmbeddingEngine
 from repro.parsing import parse_sexpr, parse_xpath, to_sexpr, to_xpath
 from repro.workloads.querygen import (
     bushy_cdm_query,
@@ -78,12 +79,12 @@ class TestWidePatterns:
 
 class TestLargeDocuments:
     def test_engines_agree_on_large_tree(self):
+        """The DP against the definition-level reference matcher."""
         db = random_tree(["a", "b", "c", "d"], size=3000, seed=11)
         pattern = TreePattern.build(("a", [("//", ("b*", [("/", "c")])), ("//", "d")]))
-        assert (
-            EmbeddingEngine(pattern, db).answer_set()
-            == TwigJoinEngine(pattern, db).answer_set()
-        )
+        answers = EmbeddingEngine(pattern, db).answer_set()
+        assert answers == reference_images(pattern, db)
+        assert len(answers) == 124
 
     def test_full_pipeline_on_200_node_chain(self):
         size = 200
