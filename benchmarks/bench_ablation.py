@@ -89,18 +89,3 @@ def test_acim_materialized(benchmark, size, closed):
     direct = acim_minimize(query, repo).pattern
     result = benchmark(amr, query, repo)
     assert result.isomorphic(direct)
-
-
-@pytest.mark.benchmark(group="ablation: syntactic dedup as CIM pre-filter")
-@pytest.mark.parametrize("size", SIZES)
-def test_cim_with_dedup_prefilter(benchmark, size):
-    from repro.core.normalize import dedup_siblings
-
-    query = _cim_workload(size)
-    direct = cim_minimize(query).pattern
-
-    def pipeline():
-        return cim_minimize(dedup_siblings(query).pattern).pattern
-
-    result = benchmark(pipeline)
-    assert result.isomorphic(direct)

@@ -32,7 +32,6 @@ from .errors import (
     ConstraintError,
     DataModelError,
     DeadlineExceededError,
-    EvaluationError,
     InvalidPatternError,
     OutputNodeError,
     ParseError,
@@ -70,7 +69,6 @@ from .core import (
     cdm_minimize,
     cim_minimize,
     cim_minimize_naive,
-    dedup_siblings,
     equivalent,
     equivalent_under,
     is_contained_in,
@@ -123,7 +121,6 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "DataModelError",
-    "EvaluationError",
     "StrategyError",
     "ServiceError",
     "ServiceClosedError",
@@ -154,7 +151,6 @@ __all__ = [
     "MinimizeResult",
     "cim_minimize",
     "cim_minimize_naive",
-    "dedup_siblings",
     "acim_minimize",
     "cdm_minimize",
     "minimize",

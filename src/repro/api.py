@@ -54,11 +54,7 @@ from .constraints.repository import (
     coerce_constraints,
     coerce_repository,
 )
-from .core.containment import (
-    ContainmentStats,
-    equivalent as _equivalent,
-    is_contained_in as _is_contained_in,
-)
+from .core.containment import ContainmentStats, equivalent as _equivalent
 from .core.ic_containment import equivalent_under as _equivalent_under
 from .core.images import ImagesStats
 from .core.oracle_cache import (
@@ -103,10 +99,10 @@ class MinimizeOptions:
     Attributes
     ----------
     oracle_cache:
-        ``True`` (default) lets :meth:`Session.equivalent` (and its
-        fast-path audits) use the process-wide containment-oracle cache,
-        subject to its global switch, and attaches a configured store
-        behind it. ``False`` runs equivalence inside an
+        ``True`` (default) lets :meth:`Session.equivalent` use the
+        process-wide containment-oracle cache, subject to its global
+        switch, and attaches a configured store behind it. ``False``
+        runs equivalence inside an
         :func:`~repro.core.oracle_cache.oracle_cache_disabled` scope (the
         global switch is untouched) and leaves the store detached.
         Minimization and the certificate checker never consult the
@@ -146,9 +142,8 @@ class MinimizeOptions:
         are checked by :func:`repro.certify.check_certificate`, which
         shares no code with the images engines.
     audit_rate:
-        Sampling rate for the background audit of served answers (the
-        service layer's off-hot-path re-verification, and the session's
-        fast-path equivalence audit): 1-in-``audit_rate`` answers are
+        Sampling rate of the service layer's background audit of served
+        answers (off the hot path): 1-in-``audit_rate`` answers are
         re-verified. ``0`` disables sampling; with ``certify=True``
         every answer is checked synchronously anyway.
     """
@@ -472,9 +467,6 @@ class Session:
         #: The store's counts when :meth:`close` detached it.
         self._store_final: Optional[StoreStats] = None
         self._closed = False
-        #: Fast-path equivalence verdicts seen so far (the sampling
-        #: auditor's deterministic counter — never wall-clock random).
-        self._fast_path_seen = 0
         #: One injector shared by every layer working through this
         #: session, so the whole stack reports into a single ordered
         #: fired-faults log; ``None`` when no fault plan is configured.
@@ -585,12 +577,10 @@ class Session:
         given (or session-default) constraints when any are present. Both
         paths count their containment work (``containment_*``).
 
-        The canonical-fingerprint fast path returns True *without a
-        proof artifact* — those verdicts are counted separately
-        (``containment_equivalent_fast_path_uncertified``) and routed
-        into the sampling auditor: every ``audit_rate``-th one (all of
-        them under ``certify=True``) is re-proven with the full two-pass
-        DP instead of being exempt from auditing."""
+        Isomorphic queries are answered from their canonical keys
+        (``containment_equivalent_fast_path``): equal keys mean an
+        isomorphism, which is a containment mapping in both directions,
+        so the verdict needs no re-proof."""
         repository = self._minimizer_for(repo).repository  # closed once
         stats = ContainmentStats()
         with self._cache_scope():
@@ -599,38 +589,7 @@ class Session:
             else:
                 verdict = _equivalent(q1, q2, stats=stats)
             self._add(stats)
-            if stats.equivalent_fast_path_uncertified:
-                self._audit_fast_path(q1, q2)
         return verdict
-
-    def _audit_fast_path(self, q1: TreePattern, q2: TreePattern) -> None:
-        """Sample one fast-path equivalence verdict for re-proof.
-
-        The isomorphism short-circuit is exact, but it leaves nothing
-        re-checkable behind; the auditor re-derives the verdict with the
-        two-pass containment DP. Success moves the verdict from
-        *uncertified* to audited; failure would mean a canonical-hash
-        collision and surfaces as :class:`~repro.errors.CertificationError`.
-        """
-        self._fast_path_seen += 1
-        rate = self.options.audit_rate
-        if not self.options.certify and (
-            rate == 0 or (self._fast_path_seen - 1) % rate
-        ):
-            return
-        ok = _is_contained_in(q1, q2) and _is_contained_in(q2, q1)
-        if not ok:  # pragma: no cover - would need a SHA-256 collision
-            from .errors import CertificationError
-
-            raise CertificationError(
-                "fast-path equivalence audit failed: canonically equal "
-                "patterns are not mutually containing"
-            )
-        self._add(
-            ContainmentStats(
-                equivalent_fast_path_audited=1, equivalent_fast_path_uncertified=-1
-            )
-        )
 
     # ------------------------------------------------------------------
     # Certification & audit

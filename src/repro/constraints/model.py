@@ -13,6 +13,8 @@ results cover:
 
 Constraints are immutable value objects with a stable textual notation
 (mirroring Figure 1(b) of the paper) and a parser for that notation.
+Their types follow the type-name rule of patterns
+(:data:`repro.core.fingerprint.TYPE_NAME`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..core.fingerprint import TYPE_NAME_RULE, is_type_name
 from ..errors import ConstraintError
 
 __all__ = [
@@ -67,8 +70,9 @@ class IntegrityConstraint:
         return self._sort_key() < other._sort_key()
 
     def __post_init__(self) -> None:
-        if not self.source or not self.target:
-            raise ConstraintError("constraint types must be non-empty strings")
+        if not (is_type_name(self.source) and is_type_name(self.target)):
+            bad = self.target if is_type_name(self.source) else self.source
+            raise ConstraintError(f"bad constraint type {bad!r}: expected {TYPE_NAME_RULE}")
         if self.kind is ConstraintKind.CO_OCCURRENCE and self.source == self.target:
             raise ConstraintError(f"trivial co-occurrence constraint {self.source} ~ {self.target}")
 

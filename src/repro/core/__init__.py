@@ -35,7 +35,6 @@ from .images import ImagesStats, VirtualTarget
 from .flat import FlatImagesEngine
 from .cim import CimResult, cim_minimize, is_minimal
 from .cim_naive import cim_minimize_naive
-from .normalize import DedupResult, dedup_siblings
 from .chase import augment, augmentation_targets, chase
 from .acim import AcimResult, acim_minimize
 from .infocontent import ArgKind, InfoArg, InfoContent
@@ -73,8 +72,6 @@ __all__ = [
     "cim_minimize",
     "cim_minimize_naive",
     "is_minimal",
-    "DedupResult",
-    "dedup_siblings",
     "augment",
     "augmentation_targets",
     "chase",

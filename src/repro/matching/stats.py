@@ -22,21 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Union
 
 from ..core.pattern import TreePattern
-from ..data.tree import DataTree, Forest
 from .embeddings import EmbeddingEngine
+from .evaluator import Database, _trees
 
 __all__ = ["DocumentStatistics", "estimate_cost", "measured_cost"]
-
-Database = Union[DataTree, Forest, Iterable[DataTree]]
-
-
-def _trees(database: Database) -> list[DataTree]:
-    if isinstance(database, DataTree):
-        return [database]
-    return list(database)
 
 
 @dataclass

@@ -10,9 +10,13 @@ Grammar::
 
     pattern := '(' name child* ')' | name
     child   := '(' ('/' | '//') pattern ')'
-    name    := type name, optionally suffixed with '*'
+    name    := type '*'?
+    type    := [A-Za-z_][A-Za-z0-9_.-]*
 
-Leaves may omit their parentheses (``Title`` ≡ ``(Title)``).
+Leaves may omit their parentheses (``Title`` ≡ ``(Title)``). A type
+follows the XPath parser's name rule
+(:data:`repro.core.fingerprint.TYPE_NAME`; Unicode letters and digits
+count), so ``(r (/ /x))`` is a syntax error, not a child typed ``/x``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from ..core.edges import EdgeKind
 from ..core.node import PatternNode
 from ..core.pattern import TreePattern
-from ..errors import ParseError
+from ..errors import InvalidPatternError, ParseError
 
 __all__ = ["parse_sexpr", "to_sexpr"]
 
@@ -86,18 +90,17 @@ class _SexprParser:
             parenthesized = token == "("
             if parenthesized:
                 token = self.next()
-            if token in ("(", ")", "/", "//"):
-                raise self.error(f"expected a type name, got {token!r}")
             name, star = (token[:-1], True) if token.endswith("*") else (token, False)
-            if not name:
-                raise self.error("empty type name")
-            if pattern is None:
-                pattern = TreePattern(name, root_is_output=star)
-                node = pattern.root
-            else:
-                assert attach is not None
-                parent, edge = attach
-                node = pattern.add_child(parent, name, edge, is_output=star)
+            try:  # the pattern checks the name against the rule
+                if pattern is None:
+                    pattern = TreePattern(name, root_is_output=star)
+                    node = pattern.root
+                else:
+                    assert attach is not None
+                    parent, edge = attach
+                    node = pattern.add_child(parent, name, edge, is_output=star)
+            except InvalidPatternError:
+                raise self.error(f"expected a type name, got {token!r}") from None
             if parenthesized:
                 open_nodes.append(node)
             elif open_nodes:

@@ -7,7 +7,7 @@ The supported fragment is exactly the tree patterns of the paper — the
     path       :=  step ( ('/' | '//') step )*
     step       :=  name '*'? predicate*
     predicate  :=  '[' ('/' | '//' | './/' | '')  path ']'
-    name       :=  [A-Za-z_][A-Za-z0-9_.-]*
+    name       :=  [A-Za-z_][A-Za-z0-9_.-]*     (Unicode letters and digits count)
 
 A predicate with no leading axis (or ``/``) constrains a *child*; ``//``
 (or XPath-style ``.//``) constrains a *descendant*. The ``*`` suffix marks
@@ -25,6 +25,7 @@ predicates are its "future work"; see :mod:`repro.extensions.predicates`).
 from __future__ import annotations
 
 from ..core.edges import EdgeKind
+from ..core.fingerprint import TYPE_NAME
 from ..core.node import PatternNode
 from ..core.pattern import TreePattern
 from ..errors import OutputNodeError, ParseError
@@ -53,14 +54,11 @@ class _Scanner:
         return False
 
     def read_name(self) -> str:
-        start = self.pos
-        if self.eof() or not (self.text[self.pos].isalpha() or self.text[self.pos] == "_"):
+        match = TYPE_NAME.match(self.text, self.pos)
+        if match is None:
             raise self.error("expected a type name")
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_.-"
-        ):
-            self.pos += 1
-        return self.text[start:self.pos]
+        self.pos = match.end()
+        return match.group()
 
 
 class _XPathParser:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +111,20 @@ def test_public_classes_documented():
         if isinstance(obj, type) and not (obj.__doc__ or "").strip():
             undocumented.append(name)
     assert not undocumented, f"undocumented public classes: {undocumented}"
+
+
+def test_console_scripts_resolve():
+    """Every ``[project.scripts]`` entry of pyproject.toml names an
+    importable callable. Read without ``tomllib``, which Python 3.10
+    lacks: each line of the table is ``name = "module:function"``."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    table = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    lines = [line for line in table.splitlines() if line.strip()]
+    entries = [
+        re.fullmatch(r'([\w-]+) = "([\w.]+):(\w+)"', line.strip()) for line in lines
+    ]
+    assert lines and all(entries), lines
+    for entry in entries:
+        name, module, function = entry.groups()
+        target = getattr(importlib.import_module(module), function, None)
+        assert callable(target), f"{name} = {module}:{function} does not resolve"

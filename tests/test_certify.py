@@ -17,7 +17,6 @@ Three layers of coverage:
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,11 +29,11 @@ from repro.constraints.model import parse_constraints
 from repro.constraints.repository import coerce_repository
 from repro.core.containment import mapping_targets
 from repro.core.fingerprint import fingerprint
-from repro.core.oracle_cache import ContainmentOracleCache, _digest, subtree_keys
+from repro.core.oracle_cache import ContainmentOracleCache
 from repro.parsing.sexpr import to_sexpr
 from repro.parsing.xpath import parse_xpath
 from repro.store import PersistentStore
-from repro.workloads.batchgen import batch_workload, isomorphic_shuffle
+from repro.workloads.batchgen import batch_workload
 from repro.workloads.querygen import duplicate_random_branch, random_query
 
 # A query with one redundant branch: the pipeline eliminates exactly one
@@ -472,43 +471,6 @@ def test_audit_result_quarantines_wrong_answer():
 
 
 # ---------------------------------------------------------------------------
-# Fast-path equivalence auditing
-# ---------------------------------------------------------------------------
-
-
-def _isomorphic_pair():
-    base = random_query(9, seed=31)
-    return base, isomorphic_shuffle(base, rng=random.Random(5))
-
-
-def test_fast_path_equivalence_audited_under_certify():
-    q1, q2 = _isomorphic_pair()
-    with Session(MinimizeOptions(certify=True)) as session:
-        assert session.equivalent(q1, q2) is True
-        counters = session.counters()
-    assert counters["containment_equivalent_fast_path_audited"] == 1
-    assert counters["containment_equivalent_fast_path_uncertified"] == 0
-
-
-def test_fast_path_equivalence_sampled_by_audit_rate():
-    q1, q2 = _isomorphic_pair()
-    with Session(MinimizeOptions(audit_rate=1)) as session:
-        assert session.equivalent(q1, q2) is True
-        counters = session.counters()
-    assert counters["containment_equivalent_fast_path_audited"] == 1
-    assert counters["containment_equivalent_fast_path_uncertified"] == 0
-
-
-def test_fast_path_equivalence_counted_when_unaudited():
-    q1, q2 = _isomorphic_pair()
-    with Session(MinimizeOptions(audit_rate=0)) as session:
-        assert session.equivalent(q1, q2) is True
-        counters = session.counters()
-    assert counters["containment_equivalent_fast_path_uncertified"] == 1
-    assert counters["containment_equivalent_fast_path_audited"] == 0
-
-
-# ---------------------------------------------------------------------------
 # Oracle-table checking and store-load auditing
 # ---------------------------------------------------------------------------
 
@@ -529,11 +491,7 @@ def test_check_oracle_table_rejects_inflated_table():
 
 
 def _oracle_key(source, target):
-    source_keys, target_keys = subtree_keys(source), subtree_keys(target)
-    return (
-        _digest(source_keys[source.root.id]),
-        _digest(target_keys[target.root.id]),
-    )
+    return fingerprint(source), fingerprint(target)
 
 
 def test_tampered_oracle_row_quarantined_on_audited_load(tmp_path):

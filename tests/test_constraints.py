@@ -73,6 +73,8 @@ class TestParsing:
             parse_constraint("-> B")
         with pytest.raises(ConstraintError):
             parse_constraint("A ->")
+        with pytest.raises(ConstraintError):
+            parse_constraint("a ~ b,c")  # not a type name
 
     def test_parse_block_with_comments(self):
         block = """

@@ -18,7 +18,6 @@ class TestHierarchy:
             errors.ParseError,
             errors.SchemaError,
             errors.DataModelError,
-            errors.EvaluationError,
             errors.StrategyError,
         ],
     )

@@ -108,7 +108,9 @@ class TestSubtreeKeys:
         pattern = TreePattern("a", root_is_output=True)
         b = pattern.add_child(pattern.root, "b", EdgeKind.DESCENDANT)
         pattern.add_child(b, "c", EdgeKind.CHILD)
-        assert subtree_keys(pattern)[pattern.root.id] == pattern.canonical_key()
+        key = pattern.canonical_key()
+        assert not hasattr(pattern, "_subtree_keys_memo")
+        assert subtree_keys(pattern)[pattern.root.id] == key
 
     @given(patterns())
     @settings(max_examples=100, deadline=None)
@@ -121,3 +123,91 @@ class TestSubtreeKeys:
         fp = fingerprint(pattern)
         assert fp == fingerprint(pattern)
         assert len(fp) == 64 and int(fp, 16) >= 0
+
+
+# ---------------------------------------------------------------------------
+# The key is injective: it decodes back to the pattern
+# ---------------------------------------------------------------------------
+
+#: Names from the whole type-name rule (TYPE_NAME), not a toy alphabet.
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,3}", fullmatch=True)
+
+
+@st.composite
+def augmented_patterns(draw, max_size: int = 7) -> TreePattern:
+    """Patterns with extra types and temporary nodes, as the chase
+    builds them (the oracle cache keys chased patterns)."""
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    pattern = TreePattern(draw(NAMES))
+    nodes = [pattern.root]
+    for _ in range(size - 1):
+        nodes.append(
+            pattern.add_child(
+                draw(st.sampled_from(nodes)),
+                draw(NAMES),
+                draw(st.sampled_from([EdgeKind.CHILD, EdgeKind.DESCENDANT])),
+                temporary=draw(st.booleans()),
+            )
+        )
+    for node in nodes:
+        for name in draw(st.lists(NAMES, max_size=2)):
+            pattern.add_extra_type(node, name)
+    draw(st.sampled_from(nodes)).is_output = True
+    return pattern
+
+
+def _form(node) -> tuple:
+    """The subtree at ``node`` as a nested tuple, read off the node
+    objects: type, sorted extra types, output flag, temporary flag, and
+    the sorted ``(edge, child form)`` pairs."""
+    children = sorted((child.edge.symbol, _form(child)) for child in node.children)
+    return (
+        node.type,
+        tuple(sorted(node.extra_types)),
+        node.is_output,
+        node.temporary,
+        tuple(children),
+    )
+
+
+def _decode(key: str, start: int = 0) -> tuple[tuple, int]:
+    """Parse ``type|extras|flags(entry;...)`` at ``key[start:]``, where an
+    entry is ``/`` or ``//`` followed by a key; return the nested form
+    and the offset just past it."""
+    bar = key.index("|", start)
+    second = key.index("|", bar + 1)
+    extras = key[bar + 1 : second]
+    i = second + 1
+    is_output = key.startswith("*", i)
+    i += is_output
+    temporary = key.startswith("?", i)
+    i += temporary
+    assert key[i] == "("
+    i += 1
+    children = []
+    while key[i] != ")":
+        if children:
+            assert key[i] == ";"
+            i += 1
+        edge = "//" if key.startswith("//", i) else "/"
+        assert key.startswith(edge, i)
+        child, i = _decode(key, i + len(edge))
+        children.append((edge, child))
+    extra_types = tuple(extras.split(",")) if extras else ()
+    form = (key[start:bar], extra_types, is_output, temporary, tuple(sorted(children)))
+    return form, i + 1
+
+
+class TestKeyDecodes:
+    """``canonical_key`` decodes back to a form computed without it, so
+    equal keys mean equal forms, i.e. isomorphic patterns. (Comparing
+    ``fingerprint`` with ``are_isomorphic`` cannot show this: both read
+    the same key.)"""
+
+    @given(augmented_patterns())
+    @settings(max_examples=500, deadline=None)
+    def test_key_decodes_to_the_pattern(self, pattern):
+        key = pattern.canonical_key()
+        form, end = _decode(key)
+        assert end == len(key)
+        assert form == _form(pattern.root)

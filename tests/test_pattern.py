@@ -76,6 +76,18 @@ class TestConstruction:
         with pytest.raises(InvalidPatternError):
             TreePattern("")
 
+    @pytest.mark.parametrize("name", ["x;/y", "b|", "/x", "a,b", "(a)", "a*", "1a", "a b"])
+    def test_type_names_follow_the_rule(self, name):
+        # The canonical key's delimiters may not occur in a type name.
+        q = TreePattern("r")
+        with pytest.raises(InvalidPatternError):
+            TreePattern(name)
+        with pytest.raises(InvalidPatternError):
+            q.add_child(q.root, name, CHILD)
+        with pytest.raises(InvalidPatternError):
+            q.add_extra_type(q.root, name)
+        assert q.size == 1 and not q.root.extra_types
+
     def test_cross_pattern_attach_rejected(self):
         q1, q2 = TreePattern("a"), TreePattern("b")
         with pytest.raises(InvalidPatternError):

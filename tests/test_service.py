@@ -435,15 +435,24 @@ class TestProtocol:
     def test_sexpr_format(self):
         async def scenario():
             async with MinimizationService() as service:  # no constraints
-                return await handle_line(
+                good = await handle_line(
                     service,
                     json.dumps(
                         {"op": "minimize", "query": "(a (/ b) (/ b))", "format": "sexpr"}
                     ),
                 )
+                # A type holding a key delimiter is a syntax error.
+                bad = await handle_line(
+                    service,
+                    json.dumps(
+                        {"op": "minimize", "query": "(r* (/ /x))", "format": "sexpr"}
+                    ),
+                )
+                return good, bad
 
-        response = run(scenario())
+        response, bad = run(scenario())
         assert response["ok"] and response["result"]["minimized"] == "(a* (/ b))"
+        assert bad["ok"] is False and bad["error"]["type"] == "ParseError"
 
     def test_ping_stats_blank_and_errors(self):
         async def scenario():

@@ -37,7 +37,10 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "(", "(a", "(a (b))", "(a (/ b) extra)", "(a (/))", "(a (x b))", "()", "(*)"],
+        ["", "(", "(a", "(a (b))", "(a (/ b) extra)", "(a (/))", "(a (x b))", "()", "(*)",
+         # A type holding a key delimiter: "/x" under "/" would share its
+         # canonical key with "x" under "//".
+         "(r* (/ /x))"],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ParseError):
